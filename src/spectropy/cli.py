@@ -266,7 +266,7 @@ def cmd_cdf(args) -> int:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
             bands = doc["bands"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
             raise ParseError(1, f"{path}: not an analyze JSON report ({exc})") from None
         for b in bands:
             try:

@@ -3,7 +3,7 @@
 The CSV contract: the first non-comment line lists band center
 frequencies in MHz, every following line is one time slot of PSD values
 in dBm with the same field count, ``#`` lines are skipped, decimal point
-is ``.``, LF or CRLF both accepted.
+is ``.``, LF or CRLF both accepted, and the file is UTF-8 text.
 """
 
 from __future__ import annotations
@@ -92,8 +92,13 @@ def load_matrix(
 
     Line numbers in errors are 1-based and count comment lines too.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is all of it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
     header: list[str] | None = None
     bands: list[BandMetadata] = []

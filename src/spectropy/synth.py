@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStochasticMatrixError, NotIrreducibleError
+from .errors import ConfigError, InvalidStochasticMatrixError, NotIrreducibleError
 from .trace import BandMetadata, PsdTrace, QuantizedTrace
 
 _STOCHASTIC_TOL = 1e-12
@@ -60,11 +60,16 @@ def markov_spec_from_json(path) -> MarkovSpec:
     """Read a MarkovSpec from a JSON file with keys matrix, initial, seed."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    return MarkovSpec(
-        transition=tuple(tuple(row) for row in d["matrix"]),
-        initial=tuple(d["initial"]),
-        seed=int(d["seed"]),
-    )
+    try:
+        return MarkovSpec(
+            transition=tuple(tuple(row) for row in d["matrix"]),
+            initial=tuple(d["initial"]),
+            seed=int(d["seed"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: Markov spec has no {exc} key") from None
+    except TypeError as exc:
+        raise ConfigError(f"{path}: malformed Markov spec ({exc})") from None
 
 
 def binary_symmetric_spec(flip_prob: float, seed: int) -> MarkovSpec:

@@ -130,6 +130,14 @@ class TestAnalyzeCommand:
     def test_unknown_flag_exit_3(self, small_csv, tmp_path, capsys):
         assert run_cli("analyze", small_csv, "--nope", "--output", tmp_path / "o.csv") == 3
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"600.1,600.3\n-100,\xff\n")
+        out = tmp_path / "an.csv"
+        assert run_cli("analyze", path, "--output", out) == 2
+        assert "line 2: not UTF-8 text" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         out = tmp_path / "an.csv"
@@ -193,6 +201,13 @@ class TestCdfCommand:
         bad = write_text(tmp_path / "bad.json", "{not json")
         assert run_cli("cdf", bad, "--output", tmp_path / "o.csv") == 2
 
+    def test_non_utf8_report_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"bands": []}\xff')
+        assert run_cli("cdf", bad, "--output", tmp_path / "o.csv") == 2
+        assert "not an analyze JSON report" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_services_flow_from_analyze_reports(self, tmp_path):
         # services attached at analyze time survive into the cdf grouping
         trace = write_text(tmp_path / "t.csv", "614.1,2450.0\n-100,-90\n-101,-91\n-102,-92\n")
@@ -220,6 +235,26 @@ class TestSynthCommand:
                        "--output", tmp_path / "o.csv")
         assert code == 3
         assert "InvalidStochasticMatrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["matrix", "initial", "seed"])
+    def test_markov_spec_missing_key_exit_3(self, tmp_path, capsys, key):
+        doc = {"matrix": [[0.9, 0.1], [0.1, 0.9]], "initial": [0.5, 0.5], "seed": 1}
+        del doc[key]
+        spec = write_text(tmp_path / "chain.json", json.dumps(doc))
+        out = tmp_path / "o.csv"
+        code = run_cli("synth", "--model", "markov", "--spec", spec, "--n", "100", "--output", out)
+        assert code == 3
+        assert f"Config: {spec}: Markov spec has no {key!r} key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"matrix": 5, "initial": [1], "seed": 1}'])
+    def test_malformed_markov_spec_exit_3(self, tmp_path, capsys, text):
+        spec = write_text(tmp_path / "chain.json", text)
+        out = tmp_path / "o.csv"
+        code = run_cli("synth", "--model", "markov", "--spec", spec, "--n", "100", "--output", out)
+        assert code == 3
+        assert "malformed Markov spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_periodic_row_arithmetic(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,59 @@ def tiny_reference_lambdas(seq):
     return tuple(out)
 
 
+def fibonacci_word(n):
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def thue_morse_word(n):
+    return [bin(k).count("1") % 2 for k in range(n)]
+
+
+def adversarial_sequences(seed=0):
+    """(name, sequence) pairs of the low-entropy shapes real idle,
+    constant and periodic bands take, where a match-length parse that
+    carries its match from one position to the next is most likely to
+    slip: long matches, overlapping periodic matches and runs that end."""
+    rng = np.random.default_rng(seed)
+    cases = [(f"constant n={n}", [0] * n) for n in (1, 2, 3, 7, 64, 500, 1500)]
+    for p in range(1, 17):
+        cases.append((f"k % {p}", [k % p for k in range(40 * p + 3)]))
+        block = rng.integers(0, 3, p).tolist()
+        cases.append((f"random block of {p} repeated", block * (600 // p) + block[: p // 2]))
+    cases.append(("fibonacci word", fibonacci_word(1000)))
+    cases.append(("thue-morse word", thue_morse_word(1024)))
+    bursts = [0] * 1200
+    for start in rng.integers(0, 1190, 12):
+        width = int(rng.integers(1, 9))
+        bursts[start : start + width] = [1] * width
+    cases.append(("sparse bursts", bursts))
+    for at in (0, 1, 250, 499, 999):
+        run = [0] * 1000
+        run[at] = 1
+        cases.append((f"long run with one change at {at}", run))
+    for p_other in (0.002, 0.01, 0.05):
+        idle = np.where(rng.random(1500) < p_other, rng.integers(1, 8, 1500), 0)
+        cases.append((f"idle-like, {p_other:.1%} other levels", idle.tolist()))
+    return cases
+
+
+def _runs(draw_runs, repeats):
+    seq = [symbol for symbol, length in draw_runs for _ in range(length)]
+    return (seq * repeats)[:400]
+
+
+# Low-entropy sequences: run-length encoded over a small alphabet, the
+# whole run list optionally repeated so periodic structure appears too.
+low_entropy_sequences = st.builds(
+    _runs,
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), min_size=1, max_size=12),
+    st.integers(1, 8),
+)
+
+
 class TestLzParseOracle:
     def test_all_distinct_symbols(self):
         assert lz_parse("abc").lambdas == tiny_reference_lambdas("abc") == (1, 1, 1)
@@ -92,6 +146,15 @@ class TestLzParseFastDifferential:
     def test_agrees_with_reference(self, seq):
         assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
 
+    @settings(max_examples=300, deadline=None)
+    @given(low_entropy_sequences)
+    def test_agrees_with_reference_on_low_entropy_input(self, seq):
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+
+    @pytest.mark.parametrize("seq", [pytest.param(seq, id=name) for name, seq in adversarial_sequences()])
+    def test_agrees_with_reference_on_adversarial_input(self, seq):
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+
     def test_binary_and_wide_alphabets(self, rng):
         for q in (1, 2, 3, 16, 64):
             seq = rng.integers(0, q, 700).tolist()
@@ -100,6 +163,28 @@ class TestLzParseFastDifferential:
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
             lz_parse_fast([])
+
+
+class TestLzParseFastWorstCase:
+    """Constant and periodic inputs have match lengths near n/2, so a
+    parse that restarts its match at every position costs O(n^2) steps
+    on them (about 300 s at n = 100,000).  The expected lambdas follow
+    from the definition: at i the earliest past occurrence of the
+    suffix's first symbol is at i mod p, which allows a match of length
+    i - i mod p, capped by the n - i symbols left."""
+
+    BUDGET_S = 5.0
+
+    @pytest.mark.parametrize("period", [1, 8])
+    def test_long_periodic_input_parses_in_linear_time(self, period):
+        n = 100_000
+        seq = list(range(period)) * (n // period)
+        t0 = time.perf_counter()
+        lams = lz_parse_fast(seq).lambdas
+        elapsed = time.perf_counter() - t0
+        expected = np.minimum(n - np.arange(n), np.arange(n) - np.arange(n) % period) + 1
+        assert np.array_equal(lams, expected)
+        assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s for n={n}, period {period}"
 
 
 @settings(max_examples=150, deadline=None)
