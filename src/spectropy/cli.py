@@ -9,8 +9,9 @@ Subcommands:
 Every report is written twice: a CSV for plotting pipelines and a JSON
 document carrying the full run manifest.  CSV bodies contain no
 timestamps, so re-running a command with the same parameters (or with
-``analyze --from-manifest``) reproduces them byte for byte.  Output files
-are written to a temporary name and atomically renamed, never partially.
+``analyze --from-manifest``) reproduces them byte for byte.  Both files
+are written to temporary names before either is renamed, the CSV last,
+so a failing run leaves no partial file and no new CSV by an old JSON.
 
 Exit codes: 0 success, 2 malformed or degenerate input, 3 bad flags or
 parameters.
@@ -79,39 +80,46 @@ class RunManifest:
     thresholds: tuple[float, ...] | None = None
     dc_before_average: bool | None = None
     jobs: int | None = None
-    seed: int | None = None
     service_map: str | None = None
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["inputs"] = list(self.inputs)
-        if self.thresholds is not None:
-            d["thresholds"] = list(self.thresholds)
-        return {k: v for k, v in d.items() if v is not None}
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+def _atomic_write(files: dict[Path, str]) -> None:
+    """Write every file to a temporary name beside it, then rename them in
+    order; a failure before the last rename leaves the last file untouched."""
+    temps: dict[Path, str] = {}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
-def _write_report(csv_path: Path, csv_text: str, report: dict) -> Path:
-    json_path = csv_path.with_suffix(".json")
-    _atomic_write(csv_path, csv_text)
-    _atomic_write(json_path, json.dumps(report, indent=2) + "\n")
-    return json_path
+def _write_report(args, command: str, inputs, lines: list[str], body: dict, summary: str, **params) -> int:
+    """Write the CSV ``lines`` and a JSON report with the run manifest and ``body``."""
+    manifest = RunManifest(
+        command=command,
+        inputs=tuple(inputs),
+        tool_version=__version__,
+        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        service_map=args.service_map or None,
+        **params,
+    )
+    report = {"schema": SCHEMA, "manifest": manifest.to_dict(), **body}
+    json_path = args.output.with_suffix(".json")
+    # the CSV goes last: a failure before its rename keeps the old pair
+    _atomic_write({json_path: json.dumps(report, indent=2) + "\n", args.output: "\n".join(lines) + "\n"})
+    print(f"wrote {args.output} and {json_path} ({summary})")
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,44 +153,32 @@ def cmd_duty_cycle(args) -> int:
                 "duty_cycles": dcs,
             }
         )
-    manifest = RunManifest(
-        command="duty-cycle",
-        inputs=(os.fspath(args.input),),
-        tool_version=__version__,
-        created_utc=_now(),
-        block=args.block,
-        avg_domain=args.avg_domain,
-        thresholds=tuple(thresholds),
-        dc_before_average=bool(args.before_average),
-        service_map=os.fspath(args.service_map) if args.service_map else None,
+    return _write_report(
+        args, "duty-cycle", [args.input], lines, {"thresholds": thresholds, "bands": bands_json},
+        f"{len(order)} bands", block=args.block, avg_domain=args.avg_domain,
+        thresholds=tuple(thresholds), dc_before_average=args.before_average,
     )
-    report = {
-        "schema": SCHEMA,
-        "manifest": manifest.to_dict(),
-        "thresholds": list(thresholds),
-        "bands": bands_json,
-    }
-    json_path = _write_report(args.output, "\n".join(lines) + "\n", report)
-    print(f"wrote {args.output} and {json_path} ({len(order)} bands)")
-    return 0
 
 
 def _analyze_params_from_manifest(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    manifest = doc.get("manifest", doc)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ParseError(1, f"{path}: not a JSON manifest ({exc})") from None
+    manifest = doc.get("manifest", doc) if isinstance(doc, dict) else doc
     try:
         if manifest["command"] != "analyze":
             raise ParseError(1, f"{path}: manifest is for {manifest['command']!r}, not analyze")
         return {
-            "input": manifest["inputs"][0],
+            "input": os.fspath(manifest["inputs"][0]),
             "q": int(manifest["q"]),
             "strategy": manifest["strategy"],
             "block": int(manifest["block"]),
             "avg_domain": manifest["avg_domain"],
             "jobs": int(manifest.get("jobs", 1)),
         }
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(1, f"{path}: not a usable analyze manifest ({exc})") from None
 
 
@@ -195,7 +191,7 @@ def cmd_analyze(args) -> int:
         if args.input is None:
             raise ConfigError("an input file is required (or use --from-manifest)")
         params = {
-            "input": os.fspath(args.input),
+            "input": args.input,
             "q": args.q,
             "strategy": args.strategy,
             "block": args.block,
@@ -203,8 +199,9 @@ def cmd_analyze(args) -> int:
             "jobs": args.jobs,
         }
 
+    input_path = params.pop("input")
     service_map = load_service_map(args.service_map) if args.service_map else None
-    matrix = load_matrix(params["input"], service_map=service_map)
+    matrix = load_matrix(input_path, service_map=service_map)
     cfg = QuantizationConfig(q=params["q"], strategy=Strategy(params["strategy"]))
     results = analyze_matrix(
         matrix,
@@ -240,22 +237,9 @@ def cmd_analyze(args) -> int:
                 **p.to_dict(),
             }
         )
-    manifest = RunManifest(
-        command="analyze",
-        inputs=(params["input"],),
-        tool_version=__version__,
-        created_utc=_now(),
-        q=params["q"],
-        strategy=params["strategy"],
-        block=params["block"],
-        avg_domain=params["avg_domain"],
-        jobs=params["jobs"],
-        service_map=os.fspath(args.service_map) if args.service_map else None,
+    return _write_report(
+        args, "analyze", [input_path], lines, {"bands": bands_json}, f"{len(results)} bands", **params
     )
-    report = {"schema": SCHEMA, "manifest": manifest.to_dict(), "bands": bands_json}
-    json_path = _write_report(args.output, "\n".join(lines) + "\n", report)
-    print(f"wrote {args.output} and {json_path} ({len(results)} bands)")
-    return 0
 
 
 def cmd_cdf(args) -> int:
@@ -265,7 +249,7 @@ def cmd_cdf(args) -> int:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            bands = doc["bands"]
+            bands = list(doc["bands"])
         except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
             raise ParseError(1, f"{path}: not an analyze JSON report ({exc})") from None
         for b in bands:
@@ -278,12 +262,14 @@ def cmd_cdf(args) -> int:
                     q=int(b["q"]),
                 )
                 freq_mhz = float(b["freq_mhz"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(1, f"{path}: malformed band entry ({exc})") from None
             if service_map is not None:
                 service = service_for_frequency(freq_mhz, service_map)
             else:
                 service = b.get("service")
+                if not isinstance(service, (str, type(None))):
+                    raise ParseError(1, f"{path}: malformed band entry (service {service!r})")
             groups.setdefault(service or UNASSIGNED_SERVICE, []).append(rep)
 
     cdfs = {name: predictability_cdf(reps, name) for name, reps in sorted(groups.items())}
@@ -293,17 +279,7 @@ def cmd_cdf(args) -> int:
         for pi, frac in cdf.points:
             lines.append(f"{name},{_fmt(pi)},{_fmt(frac)}")
         services_json[name] = {"q": cdf.q, "points": [[pi, frac] for pi, frac in cdf.points]}
-    manifest = RunManifest(
-        command="cdf",
-        inputs=tuple(os.fspath(p) for p in args.inputs),
-        tool_version=__version__,
-        created_utc=_now(),
-        service_map=os.fspath(args.service_map) if args.service_map else None,
-    )
-    report = {"schema": SCHEMA, "manifest": manifest.to_dict(), "services": services_json}
-    json_path = _write_report(args.output, "\n".join(lines) + "\n", report)
-    print(f"wrote {args.output} and {json_path} ({len(cdfs)} services)")
-    return 0
+    return _write_report(args, "cdf", args.inputs, lines, {"services": services_json}, f"{len(cdfs)} services")
 
 
 def _parse_pattern(text: str) -> tuple[int, ...]:
@@ -347,7 +323,7 @@ def cmd_synth(args) -> int:
     lines = [",".join(_fmt(f) for f in freqs)]
     for row in zip(*columns):
         lines.append(",".join(row))
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    _atomic_write({args.output: "\n".join(lines) + "\n"})
     print(f"wrote {args.output} ({args.bands} bands x {len(columns[0])} rows)")
     return 0
 
@@ -375,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--strategy", choices=[s.value for s in Strategy], default=Strategy.EQUAL_WIDTH.value)
     an.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
     an.add_argument("--avg-domain", choices=["linear", "db"], default="linear")
-    an.add_argument("--jobs", type=int, default=1, help="worker processes for per-band analysis")
+    an.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for per-band analysis (at most one per band and CPU)")
     an.add_argument("--service-map", help="service-map JSON sidecar")
     an.add_argument("--from-manifest", metavar="REPORT_JSON",
                     help="re-run with the parameters recorded in a previous analyze report")

@@ -66,9 +66,6 @@ class SpectrumMatrix:
             sample_interval_s=self.sample_interval_s,
         )
 
-    def band_traces(self) -> list[PsdTrace]:
-        return [self.band_trace(i) for i in range(len(self.bands))]
-
 
 @dataclass(frozen=True)
 class DutyCycleReport:
@@ -195,18 +192,21 @@ def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> DutyCycleReport:
 
 def load_service_map(path) -> dict[str, tuple[float, float]]:
     """Read a sidecar JSON mapping service names to [lo_mhz, hi_mhz]."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ParseError(1, f"{path}: not a JSON service map ({exc})") from None
     if not isinstance(raw, dict):
-        raise ParseError(1, "service map must be a JSON object")
+        raise ParseError(1, f"{path}: service map must be a JSON object")
     out: dict[str, tuple[float, float]] = {}
     for name, span in raw.items():
         try:
             lo, hi = float(span[0]), float(span[1])
-        except (TypeError, ValueError, IndexError):
-            raise ParseError(1, f"service {name!r} must map to [lo_mhz, hi_mhz]") from None
+        except (TypeError, ValueError, OverflowError, IndexError, KeyError):
+            raise ParseError(1, f"{path}: service {name!r} must map to [lo_mhz, hi_mhz]") from None
         if not lo < hi:
-            raise ParseError(1, f"service {name!r} range must have lo < hi")
+            raise ParseError(1, f"{path}: service {name!r} range must have lo < hi")
         out[name] = (lo, hi)
     return out
 

@@ -1,14 +1,15 @@
 """Batch orchestration: matrix in, per-band entropy and predictability out.
 
 Per-band work is independent, so it fans out across worker processes
-when ``jobs > 1`` (processes, not threads: the match-length parse is
-pure Python and would serialize on the interpreter lock).  Results are
-reassembled in band order regardless of completion order, so output is
-deterministic for any job count.
+when ``jobs > 1``, at most one per band and per CPU (processes, not
+threads: the match-length parse is pure Python and would serialize on
+the interpreter lock).  Results are reassembled in band order regardless
+of completion order, so output is deterministic for any job count.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,11 +37,6 @@ def analyze_quantized(qt: QuantizedTrace) -> BandAnalysis:
     )
 
 
-def _analyze_payload(qt: QuantizedTrace) -> BandAnalysis:
-    # module-level so ProcessPoolExecutor can pickle it
-    return analyze_quantized(qt)
-
-
 def analyze_matrix(
     matrix: SpectrumMatrix,
     cfg: QuantizationConfig,
@@ -58,8 +54,9 @@ def analyze_matrix(
     m = block_average(matrix, block, domain=avg_domain)
     order = sorted(range(len(m.bands)), key=lambda i: m.bands[i].center_freq_hz)
     quantized = [quantize(m.band_trace(i), cfg) for i in order]
-    if jobs == 1 or len(quantized) < 2:
+    workers = min(jobs, len(quantized), os.cpu_count() or 1)
+    if workers <= 1:
         return [analyze_quantized(qt) for qt in quantized]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(quantized) // (jobs * 4))
-        return list(pool.map(_analyze_payload, quantized, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(quantized) // (workers * 4))
+        return list(pool.map(analyze_quantized, quantized, chunksize=chunk))

@@ -58,9 +58,9 @@ class MarkovSpec:
 
 def markov_spec_from_json(path) -> MarkovSpec:
     """Read a MarkovSpec from a JSON file with keys matrix, initial, seed."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            d = json.load(fh)
         return MarkovSpec(
             transition=tuple(tuple(row) for row in d["matrix"]),
             initial=tuple(d["initial"]),
@@ -68,7 +68,7 @@ def markov_spec_from_json(path) -> MarkovSpec:
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: Markov spec has no {exc} key") from None
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # ValueError: also invalid JSON, not UTF-8
         raise ConfigError(f"{path}: malformed Markov spec ({exc})") from None
 
 

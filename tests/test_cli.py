@@ -1,11 +1,21 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectropy.cli import main
 from tests.conftest import write_text
+
+
+# one valid band entry of an analyze JSON report
+BAND_ENTRY = {
+    "freq_mhz": 614.1, "service": "TV", "pi_max": 0.5, "entropy_used": 1.0, "clamped": False, "iterations": 30, "q": 8,
+}
 
 
 def run_cli(*argv):
@@ -138,6 +148,48 @@ class TestAnalyzeCommand:
         assert "line 2: not UTF-8 text" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b'"str"',
+            b"{not json",
+            b'{"manifest": {}}\xff',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 1e999, "strategy": "equal-width", "block": 1}',
+        ],
+    )
+    def test_unusable_manifest_exit_2(self, tmp_path, capsys, content):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(content)
+        assert run_cli("analyze", "--from-manifest", manifest, "--output", tmp_path / "an.csv") == 2
+        assert f"Parse: line 1: {manifest}: not a " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{not json",
+            b'{"TV": [614.0, 698.0]}\xff',
+            b'{"TV": {"lo": 1}}',
+            pytest.param(b'{"TV": [1' + b"0" * 400 + b", 2]}", id="span-overflows"),
+        ],
+    )
+    def test_bad_service_map_exit_2(self, small_csv, tmp_path, capsys, content):
+        smap = tmp_path / "s.json"
+        smap.write_bytes(content)
+        assert run_cli("analyze", small_csv, "--service-map", smap, "--output", tmp_path / "an.csv") == 2
+        assert f"Parse: line 1: {smap}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", "small.csv"]
+
+    def test_failed_json_write_keeps_old_csv(self, small_csv, tmp_path, capsys):
+        # the CSV is renamed last, so a JSON that cannot be written keeps the old pair
+        out = tmp_path / "an.csv"
+        out.write_bytes(b"old,csv\n")
+        (tmp_path / "an.json").mkdir()
+        assert run_cli("analyze", small_csv, "--output", out) == 2
+        assert out.read_bytes() == b"old,csv\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["an.csv", "an.json", "small.csv"]
+
     def test_failed_run_leaves_no_output(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         out = tmp_path / "an.csv"
@@ -201,6 +253,21 @@ class TestCdfCommand:
         bad = write_text(tmp_path / "bad.json", "{not json")
         assert run_cli("cdf", bad, "--output", tmp_path / "o.csv") == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bands": 5},
+            {"bands": [{**BAND_ENTRY, "service": [1]}]},
+            {"bands": [{**BAND_ENTRY, "pi_max": 10**400}]},
+        ],
+        ids=["bands-not-a-list", "service-not-a-string", "pi-max-overflows"],
+    )
+    def test_report_of_wrong_shape_exit_2(self, tmp_path, capsys, doc):
+        bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+        assert run_cli("cdf", bad, "--output", tmp_path / "o.csv") == 2
+        assert f"Parse: line 1: {bad}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_non_utf8_report_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"bands": []}\xff')
@@ -247,13 +314,24 @@ class TestSynthCommand:
         assert f"Config: {spec}: Markov spec has no {key!r} key" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ['[1, 2]', '{"matrix": 5, "initial": [1], "seed": 1}'])
-    def test_malformed_markov_spec_exit_3(self, tmp_path, capsys, text):
-        spec = write_text(tmp_path / "chain.json", text)
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[1, 2]",
+            b'{"matrix": 5, "initial": [1], "seed": 1}',
+            b'{"matrix": [[1.0]], "initial": [1.0], "seed": "x"}',
+            b'{"matrix": [[1.0]], "initial": [1.0], "seed": 1e999}',
+            b"{not json",
+            b'{"seed": 1}\xff',
+        ],
+    )
+    def test_malformed_markov_spec_exit_3(self, tmp_path, capsys, content):
+        spec = tmp_path / "chain.json"
+        spec.write_bytes(content)
         out = tmp_path / "o.csv"
         code = run_cli("synth", "--model", "markov", "--spec", spec, "--n", "100", "--output", out)
         assert code == 3
-        assert "malformed Markov spec" in capsys.readouterr().err
+        assert f"Config: {spec}: malformed Markov spec" in capsys.readouterr().err
         assert not out.exists()
 
     def test_periodic_row_arithmetic(self, tmp_path):
@@ -279,6 +357,66 @@ class TestSynthCommand:
         run_cli("synth", "--model", "iid", "--q", "4", "--n", "200", "--output", out)
         _, rows = read_csv_rows(out)
         assert {int(r["614.1"]) for r in rows} <= {0, 1, 2, 3}
+
+
+def json_values(numbers):
+    return st.recursive(
+        st.none() | st.booleans() | numbers | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=12,
+    )
+
+
+JSON_VALUES = json_values(st.integers() | st.floats())
+# Manifest fields size allocations (q levels) and loops, so their numbers stay small.
+SMALL_JSON_VALUES = json_values(st.integers(-2, 12) | st.floats(-20, 20))
+TRACE_TEXTS = st.lists(
+    st.lists(st.floats(-130, -40) | st.sampled_from(["nan", "", "x", "1e999"]), min_size=1, max_size=3),
+    min_size=1,
+    max_size=12,
+).map(lambda rows: "\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
+
+
+def one_field_replaced(valid: dict, values):
+    return st.tuples(st.sampled_from(sorted(valid)), values).map(lambda kv: {**valid, kv[0]: kv[1]})
+
+
+def fuzzed_documents(trace_path: str):
+    # arbitrary JSON, or an analyze manifest or report with one field replaced; jobs stays unset (1)
+    manifest = {
+        "command": "analyze", "inputs": [trace_path], "q": 8, "strategy": "equal-width", "block": 1, "avg_domain": "db",
+    }
+    report = st.lists(one_field_replaced(BAND_ENTRY, JSON_VALUES), max_size=3).map(lambda bands: {"bands": bands})
+    return JSON_VALUES | one_field_replaced(manifest, SMALL_JSON_VALUES) | report
+
+
+class TestInputFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        trace=st.binary(max_size=200) | TRACE_TEXTS.map(str.encode),
+        service_map=JSON_VALUES | st.dictionaries(st.text(max_size=4), st.lists(JSON_VALUES, max_size=3)),
+        data=st.data(),
+    )
+    def test_any_input_exits_0_2_or_3_and_failures_write_nothing(self, trace, service_map, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "trace.csv").write_bytes(trace)
+            (d / "smap.json").write_text(json.dumps(service_map), encoding="utf-8")
+            doc = data.draw(fuzzed_documents(str(d / "trace.csv")), label="document")
+            (d / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+            commands = [
+                ["duty-cycle", d / "trace.csv", "--service-map", d / "smap.json", "--output", d / "dc.csv"],
+                ["analyze", d / "trace.csv", "--service-map", d / "smap.json", "--output", d / "an.csv"],
+                ["analyze", "--from-manifest", d / "doc.json", "--output", d / "re.csv"],
+                ["cdf", d / "doc.json", "--output", d / "cdf.csv"],
+                ["cdf", d / "doc.json", "--service-map", d / "smap.json", "--output", d / "cdf.csv"],
+            ]
+            for argv in commands:
+                before = sorted(d.iterdir())
+                code = run_cli(*argv)
+                assert code in (0, 2, 3), argv
+                if code != 0:
+                    assert sorted(d.iterdir()) == before, argv
 
 
 class TestModuleInvocation:
