@@ -33,7 +33,6 @@ from .trace import (
     PredictabilityReport,
     PsdTrace,
     QuantizedTrace,
-    validate_trace,
 )
 from .ingest import (
     DutyCycleReport,

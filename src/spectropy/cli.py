@@ -45,7 +45,7 @@ from .ingest import (
     service_for_frequency,
 )
 from .pipeline import analyze_matrix
-from .quantize import QuantizationConfig, Strategy
+from .quantize import MAX_Q, QuantizationConfig, Strategy
 from .synth import (
     MarkovSpec,
     gen_gaussian_psd,
@@ -122,6 +122,14 @@ def _write_report(args, command: str, inputs, lines: list[str], body: dict, summ
     return 0
 
 
+def _report_path(text: str) -> Path:
+    # the JSON report goes to the CSV path with a .json suffix, so the two must differ
+    path = Path(text)
+    if path.suffix == ".json":
+        raise argparse.ArgumentTypeError(f"{text!r} is where the JSON report goes; give the CSV path")
+    return path
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the toolkit reserves 2
     # for input data, so route usage problems through ConfigError instead.
@@ -170,7 +178,7 @@ def _analyze_params_from_manifest(path) -> dict:
     try:
         if manifest["command"] != "analyze":
             raise ParseError(1, f"{path}: manifest is for {manifest['command']!r}, not analyze")
-        return {
+        params = {
             "input": os.fspath(manifest["inputs"][0]),
             "q": int(manifest["q"]),
             "strategy": manifest["strategy"],
@@ -180,6 +188,9 @@ def _analyze_params_from_manifest(path) -> dict:
         }
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(1, f"{path}: not a usable analyze manifest ({exc})") from None
+    if not 1 <= params["q"] <= MAX_Q:
+        raise ParseError(1, f"{path}: not a usable analyze manifest (q {params['q']} outside [1, {MAX_Q}])")
+    return params
 
 
 def cmd_analyze(args) -> int:
@@ -233,8 +244,8 @@ def cmd_analyze(args) -> int:
                 "freq_mhz": r.band.center_freq_mhz,
                 "label": r.band.label,
                 "service": r.band.service,
-                **e.to_dict(),
-                **p.to_dict(),
+                **dataclasses.asdict(e),
+                **dataclasses.asdict(p),
             }
         )
     return _write_report(
@@ -342,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--before-average", action="store_true",
                     help="compute duty cycle on raw samples instead of after block averaging")
     dc.add_argument("--service-map", help="service-map JSON sidecar")
-    dc.add_argument("--output", required=True, type=Path, help="output CSV path (JSON written beside it)")
+    dc.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     dc.set_defaults(func=cmd_duty_cycle)
 
     an = sub.add_parser("analyze", help="entropy and predictability bound per band")
     an.add_argument("input", nargs="?", help="PSD trace CSV")
-    an.add_argument("--q", type=int, default=8, help="number of quantization levels (default 8)")
+    an.add_argument("--q", type=int, default=8, help=f"number of quantization levels, 1 to {MAX_Q} (default 8)")
     an.add_argument("--strategy", choices=[s.value for s in Strategy], default=Strategy.EQUAL_WIDTH.value)
     an.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
     an.add_argument("--avg-domain", choices=["linear", "db"], default="linear")
@@ -356,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--service-map", help="service-map JSON sidecar")
     an.add_argument("--from-manifest", metavar="REPORT_JSON",
                     help="re-run with the parameters recorded in a previous analyze report")
-    an.add_argument("--output", required=True, type=Path, help="output CSV path (JSON written beside it)")
+    an.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     an.set_defaults(func=cmd_analyze)
 
     cd = sub.add_parser("cdf", help="per-service predictability CDFs from analyze reports")
     cd.add_argument("inputs", nargs="+", help="analyze JSON report(s)")
     cd.add_argument("--service-map", help="service-map JSON (else services stored in the reports)")
-    cd.add_argument("--output", required=True, type=Path, help="output CSV path (JSON written beside it)")
+    cd.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     cd.set_defaults(func=cmd_cdf)
 
     sy = sub.add_parser("synth", help="write a synthetic PSD/level trace CSV")

@@ -21,11 +21,7 @@ from .errors import (
     ParseError,
     RaggedRowError,
 )
-from .trace import (
-    DEFAULT_SAMPLE_INTERVAL_S,
-    BandMetadata,
-    PsdTrace,
-)
+from .trace import BandMetadata, PsdTrace
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +30,6 @@ class SpectrumMatrix:
 
     bands: tuple[BandMetadata, ...]
     rows: np.ndarray
-    sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -46,25 +41,12 @@ class SpectrumMatrix:
                 f"row width {rows.shape[1]} does not match {len(self.bands)} bands"
             )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectrumMatrix):
-            return NotImplemented
-        return (
-            self.bands == other.bands
-            and self.sample_interval_s == other.sample_interval_s
-            and np.array_equal(self.rows, other.rows)
-        )
-
     @property
     def n_slots(self) -> int:
         return self.rows.shape[0]
 
     def band_trace(self, index: int) -> PsdTrace:
-        return PsdTrace(
-            band=self.bands[index],
-            samples=tuple(self.rows[:, index]),
-            sample_interval_s=self.sample_interval_s,
-        )
+        return PsdTrace(band=self.bands[index], samples=self.rows[:, index])
 
 
 @dataclass(frozen=True)
@@ -80,11 +62,7 @@ class DutyCycleReport:
                 raise ValueError(f"duty cycle {dc} for {band.label!r} outside [0, 1]")
 
 
-def load_matrix(
-    path,
-    sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S,
-    service_map: dict[str, tuple[float, float]] | None = None,
-) -> SpectrumMatrix:
+def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None) -> SpectrumMatrix:
     """Parse a PSD trace CSV into a SpectrumMatrix.
 
     Line numbers in errors are 1-based and count comment lines too.
@@ -138,11 +116,7 @@ def load_matrix(
         raise EmptyTraceError(f"{path}: file has no header line")
     if not data:
         raise EmptyTraceError(f"{path}: file has no data rows")
-    return SpectrumMatrix(
-        bands=tuple(bands),
-        rows=np.asarray(data, dtype=np.float64),
-        sample_interval_s=sample_interval_s,
-    )
+    return SpectrumMatrix(bands=tuple(bands), rows=np.asarray(data, dtype=np.float64))
 
 
 def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") -> SpectrumMatrix:
@@ -151,7 +125,8 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
     The default averages in linear power (each dBm value converted to mW,
     block-averaged, converted back), which is the physically meaningful
     mean; ``domain="db"`` averages the dB values directly for sensitivity
-    studies.  The sample interval scales by the block factor.
+    studies.  A block whose mean power underflows to zero averages to
+    -inf dBm, which ``band_trace`` then rejects as a non-finite sample.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
@@ -166,14 +141,11 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
         )
     rows = matrix.rows[: n_blocks * block].reshape(n_blocks, block, -1)
     if domain == "linear":
-        averaged = 10.0 * np.log10(np.power(10.0, rows / 10.0).mean(axis=1))
+        with np.errstate(divide="ignore"):
+            averaged = 10.0 * np.log10(np.power(10.0, rows / 10.0).mean(axis=1))
     else:
         averaged = rows.mean(axis=1)
-    return SpectrumMatrix(
-        bands=matrix.bands,
-        rows=averaged,
-        sample_interval_s=matrix.sample_interval_s * block,
-    )
+    return SpectrumMatrix(bands=matrix.bands, rows=averaged)
 
 
 def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> DutyCycleReport:

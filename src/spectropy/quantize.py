@@ -8,7 +8,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import EmptyTraceError
-from .trace import LevelDistribution, PsdTrace, QuantizedTrace, validate_trace
+from .trace import LevelDistribution, PsdTrace, QuantizedTrace
+
+# Largest alphabet a quantizer accepts; q sizes the bin-edge and level-count arrays.
+MAX_Q = 2**16
 
 
 class Strategy(Enum):
@@ -33,8 +36,8 @@ class QuantizationConfig:
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        if not 1 <= self.q <= MAX_Q:
+            raise ValueError(f"q must lie in [1, {MAX_Q}], got {self.q}")
         if self.value_range is not None:
             lo, hi = self.value_range
             if not lo < hi:
@@ -50,7 +53,6 @@ def quantize(trace: PsdTrace, cfg: QuantizationConfig) -> QuantizedTrace:
     to min, with no explicit range to spread it) maps everything to level
     0 with no edges.
     """
-    validate_trace(trace)
     arr = np.asarray(trace.samples, dtype=np.float64)
     q = cfg.q
 

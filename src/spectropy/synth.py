@@ -10,6 +10,7 @@ identical output; independent streams should use distinct seeds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,22 +149,20 @@ def gen_gaussian_psd(
     mean_dbm: float = -100.0,
     sigma_db: float = 5.0,
     seed: int = 0,
-    band: BandMetadata | None = None,
 ) -> PsdTrace:
     """n i.i.d. normal PSD samples as a trace (the noise-floor baseline)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not sigma_db > 0:
-        raise ValueError(f"sigma_db must be positive, got {sigma_db}")
+    if not (math.isfinite(mean_dbm) and math.isfinite(sigma_db) and sigma_db > 0):
+        raise ValueError(f"need a finite mean_dbm and a positive finite sigma_db, got {mean_dbm}, {sigma_db}")
     rng = np.random.default_rng(seed)
     samples = rng.normal(mean_dbm, sigma_db, size=n)
-    if band is None:
-        band = _default_band(f"gaussian(mean={mean_dbm},sigma={sigma_db},seed={seed})")
-    return PsdTrace(band=band, samples=tuple(samples))
+    band = _default_band(f"gaussian(mean={mean_dbm},sigma={sigma_db},seed={seed})")
+    return PsdTrace(band=band, samples=samples)
 
 
-def gen_periodic(pattern, repeats: int, q: int | None = None) -> QuantizedTrace:
-    """The pattern concatenated ``repeats`` times; entropy rate zero."""
+def gen_periodic(pattern, repeats: int) -> QuantizedTrace:
+    """The pattern repeated ``repeats`` times over q = max(pattern) + 1 levels; entropy rate zero."""
     pattern = tuple(int(v) for v in pattern)
     if not pattern:
         raise ValueError("pattern must be non-empty")
@@ -171,6 +170,4 @@ def gen_periodic(pattern, repeats: int, q: int | None = None) -> QuantizedTrace:
         raise ValueError("repeats must be >= 1")
     if min(pattern) < 0:
         raise ValueError("pattern levels must be non-negative")
-    if q is None:
-        q = max(pattern) + 1
-    return QuantizedTrace(_default_band(f"periodic(p={len(pattern)})"), pattern * repeats, q)
+    return QuantizedTrace(_default_band(f"periodic(p={len(pattern)})"), pattern * repeats, max(pattern) + 1)

@@ -1,9 +1,8 @@
 """Immutable value types shared by every analysis stage.
 
 Everything here is a frozen dataclass holding plain tuples: equality is
-structural, instances are safe to share across threads, and the dict
-forms produced by ``to_dict`` survive a JSON round trip bit-exactly for
-finite doubles.
+structural, instances are safe to share across threads, and each type
+checks its invariants when it is built.
 """
 
 from __future__ import annotations
@@ -15,91 +14,46 @@ import numpy as np
 
 from .errors import EmptyTraceError, NonFiniteSampleError
 
-DEFAULT_BANDWIDTH_HZ = 200e3
-DEFAULT_SAMPLE_INTERVAL_S = 180.0
-
 
 @dataclass(frozen=True)
 class BandMetadata:
     """Identity of one frequency band (nominally a 200 kHz channel)."""
 
     center_freq_hz: float
-    bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
     label: str = ""
     service: str | None = None
 
     def __post_init__(self) -> None:
         if not self.center_freq_hz > 0:
             raise ValueError(f"center_freq_hz must be positive, got {self.center_freq_hz}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
 
     @property
     def center_freq_mhz(self) -> float:
         return self.center_freq_hz / 1e6
 
-    def to_dict(self) -> dict:
-        return {
-            "center_freq_hz": self.center_freq_hz,
-            "bandwidth_hz": self.bandwidth_hz,
-            "label": self.label,
-            "service": self.service,
-        }
-
-
-def band_metadata_from_dict(d: dict) -> BandMetadata:
-    return BandMetadata(
-        center_freq_hz=d["center_freq_hz"],
-        bandwidth_hz=d["bandwidth_hz"],
-        label=d["label"],
-        service=d["service"],
-    )
-
 
 @dataclass(frozen=True)
 class PsdTrace:
-    """Time-ordered PSD samples (dBm per channel bandwidth) for one band."""
+    """Time-ordered PSD samples (dBm per channel bandwidth) for one band.
+
+    A trace is never empty and holds only finite samples.
+    """
 
     band: BandMetadata
     samples: tuple[float, ...]
-    sample_interval_s: float = DEFAULT_SAMPLE_INTERVAL_S
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
-        if not self.sample_interval_s > 0:
-            raise ValueError(f"sample_interval_s must be positive, got {self.sample_interval_s}")
+        arr = np.asarray(self.samples, dtype=np.float64)
+        object.__setattr__(self, "samples", tuple(arr.tolist()))
+        if not self.samples:
+            raise EmptyTraceError("trace has no samples")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise NonFiniteSampleError(index, self.samples[index])
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def to_dict(self) -> dict:
-        return {
-            "band": self.band.to_dict(),
-            "samples": list(self.samples),
-            "sample_interval_s": self.sample_interval_s,
-        }
-
-
-def psd_trace_from_dict(d: dict) -> PsdTrace:
-    return PsdTrace(
-        band=band_metadata_from_dict(d["band"]),
-        samples=tuple(d["samples"]),
-        sample_interval_s=d["sample_interval_s"],
-    )
-
-
-def validate_trace(trace: PsdTrace) -> PsdTrace:
-    """Check sample invariants and hand back the same trace object.
-
-    Idempotent: a trace that validates once validates again unchanged.
-    """
-    if len(trace.samples) == 0:
-        raise EmptyTraceError("trace has no samples")
-    finite = np.isfinite(np.asarray(trace.samples, dtype=np.float64))
-    if not finite.all():
-        index = int(np.argmin(finite))
-        raise NonFiniteSampleError(index, trace.samples[index])
-    return trace
 
 
 @dataclass(frozen=True)
@@ -134,23 +88,6 @@ class QuantizedTrace:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def to_dict(self) -> dict:
-        return {
-            "band": self.band.to_dict(),
-            "levels": list(self.levels),
-            "q": self.q,
-            "bin_edges": list(self.bin_edges),
-        }
-
-
-def quantized_trace_from_dict(d: dict) -> QuantizedTrace:
-    return QuantizedTrace(
-        band=band_metadata_from_dict(d["band"]),
-        levels=tuple(d["levels"]),
-        q=d["q"],
-        bin_edges=tuple(d["bin_edges"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -194,15 +131,6 @@ class EntropyReport:
         if self.e_actual < 0.0:
             raise ValueError(f"e_actual must be non-negative, got {self.e_actual}")
 
-    def to_dict(self) -> dict:
-        return {
-            "e_rand": self.e_rand,
-            "e_unc": self.e_unc,
-            "e_actual": self.e_actual,
-            "n": self.n,
-            "q": self.q,
-        }
-
 
 @dataclass(frozen=True)
 class PredictabilityReport:
@@ -226,12 +154,3 @@ class PredictabilityReport:
             raise ValueError(f"pi_max={self.pi_max} outside [1/{self.q}, 1]")
         if self.q == 1 and self.pi_max != 1.0:
             raise ValueError("pi_max must be 1 for a single-level alphabet")
-
-    def to_dict(self) -> dict:
-        return {
-            "pi_max": self.pi_max,
-            "entropy_used": self.entropy_used,
-            "clamped": self.clamped,
-            "iterations": self.iterations,
-            "q": self.q,
-        }

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spectropy
 from spectropy.cli import main
+from spectropy.quantize import MAX_Q
 from tests.conftest import write_text
 
 
@@ -196,6 +199,39 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", missing, "--output", out) == 2
         assert not out.exists() and not (tmp_path / "an.json").exists()
 
+    def test_band_json_keys(self, small_csv, tmp_path):
+        run_cli("analyze", small_csv, "--output", tmp_path / "an.csv")
+        band = json.loads((tmp_path / "an.json").read_text())["bands"][0]
+        assert list(band) == [
+            "freq_mhz", "label", "service", "e_rand", "e_unc", "e_actual", "n", "q",
+            "pi_max", "entropy_used", "clamped", "iterations",
+        ]
+
+    @pytest.mark.parametrize("q", [MAX_Q + 1, 2_000_000_000])
+    def test_q_above_max_exit_3(self, small_csv, tmp_path, capsys, q):
+        assert run_cli("analyze", small_csv, "--q", q, "--output", tmp_path / "an.csv") == 3
+        assert f"q must lie in [1, {MAX_Q}]" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+    @pytest.mark.parametrize("q", [0, MAX_Q + 1, 2**31])
+    def test_manifest_q_out_of_range_exit_2(self, small_csv, tmp_path, capsys, q):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "command": "analyze", "inputs": [str(small_csv)], "q": q, "strategy": "equal-width", "block": 1,
+            "avg_domain": "linear",
+        }))
+        assert run_cli("analyze", "--from-manifest", manifest, "--output", tmp_path / "an.csv") == 2
+        assert f"Parse: line 1: {manifest}: not a usable analyze manifest (q {q} outside" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "small.csv"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_block_average_exit_2(self, tmp_path, capsys):
+        # 10**-400 mW underflows to 0, whose log is -inf dBm: a non-finite sample, not a numpy warning
+        path = write_text(tmp_path / "t.csv", "614.1\n" + "-4000\n" * 4)
+        assert run_cli("analyze", path, "--block", "2", "--output", tmp_path / "an.csv") == 2
+        assert "NonFiniteSample" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
 
 class TestCdfCommand:
     def fake_report(self, tmp_path, name, entries):
@@ -368,7 +404,8 @@ def json_values(numbers):
 
 
 JSON_VALUES = json_values(st.integers() | st.floats())
-# Manifest fields size allocations (q levels) and loops, so their numbers stay small.
+# Manifest fields size allocations (q levels) and loops, so their numbers stay small;
+# q alone also takes values at and past MAX_Q, which must be rejected before any allocation.
 SMALL_JSON_VALUES = json_values(st.integers(-2, 12) | st.floats(-20, 20))
 TRACE_TEXTS = st.lists(
     st.lists(st.floats(-130, -40) | st.sampled_from(["nan", "", "x", "1e999"]), min_size=1, max_size=3),
@@ -387,7 +424,8 @@ def fuzzed_documents(trace_path: str):
         "command": "analyze", "inputs": [trace_path], "q": 8, "strategy": "equal-width", "block": 1, "avg_domain": "db",
     }
     report = st.lists(one_field_replaced(BAND_ENTRY, JSON_VALUES), max_size=3).map(lambda bands: {"bands": bands})
-    return JSON_VALUES | one_field_replaced(manifest, SMALL_JSON_VALUES) | report
+    large_q = st.sampled_from([MAX_Q, MAX_Q + 1, 2**31]).map(lambda q: {**manifest, "q": q})
+    return JSON_VALUES | one_field_replaced(manifest, SMALL_JSON_VALUES) | large_q | report
 
 
 class TestInputFuzz:
@@ -419,21 +457,29 @@ class TestInputFuzz:
                     assert sorted(d.iterdir()) == before, argv
 
 
+@pytest.mark.parametrize("command", ["duty-cycle", "analyze", "cdf"])
+def test_json_output_path_exit_3(tmp_path, capsys, command):
+    # the JSON report would overwrite the CSV; rejected before the (missing) input is read
+    assert run_cli(command, tmp_path / "missing", "--output", tmp_path / "o.json") == 3
+    assert "--output: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def run_module(*argv):
+    # the child imports the spectropy this process imported, installed or not
+    path = [str(Path(spectropy.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, "-m", "spectropy", *argv], capture_output=True, text=True, env=env)
+
+
 class TestModuleInvocation:
     def test_runs_as_module_with_exit_codes(self, tmp_path):
         empty = write_text(tmp_path / "empty.csv", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "spectropy", "duty-cycle", str(empty),
-             "--output", str(tmp_path / "o.csv")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("duty-cycle", str(empty), "--output", str(tmp_path / "o.csv"))
         assert proc.returncode == 2
         assert "EmptyTrace" in proc.stderr
 
     def test_version_flag(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "spectropy", "--version"], capture_output=True, text=True
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert "spectropy" in proc.stdout

@@ -95,7 +95,6 @@ class TestBlockAverage:
         m = matrix_of([[-100.0, -101.0], [-102.0, -103.0]])
         out = block_average(m, 1)
         assert np.array_equal(out.rows, m.rows)
-        assert out.sample_interval_s == m.sample_interval_s
 
     def test_constant_block_round_trip(self):
         m = matrix_of([[-110.0], [-110.0]])
@@ -119,10 +118,6 @@ class TestBlockAverage:
         m = matrix_of([[v] for v in [-100.0, -100.0, -100.0, -100.0, -100.0]])
         out = block_average(m, 2)
         assert out.n_slots == 2
-
-    def test_interval_scales(self):
-        m = matrix_of([[-100.0]] * 4)
-        assert block_average(m, 4).sample_interval_s == m.sample_interval_s * 4
 
     def test_block_larger_than_trace(self):
         m = matrix_of([[-100.0]] * 3)

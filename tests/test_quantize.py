@@ -11,6 +11,7 @@ from spectropy import (
     level_distribution,
     quantize,
 )
+from spectropy.quantize import MAX_Q
 from tests.test_trace import make_band
 
 
@@ -84,6 +85,11 @@ class TestConfigValidation:
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
             QuantizationConfig(q=0)
+
+    def test_q_bounded_by_max_q(self):
+        assert QuantizationConfig(q=MAX_Q).q == MAX_Q
+        with pytest.raises(ValueError):
+            QuantizationConfig(q=MAX_Q + 1)
 
     def test_explicit_range_needs_lo_below_hi(self):
         with pytest.raises(ValueError):

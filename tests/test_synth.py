@@ -131,6 +131,8 @@ class TestGaussianPsd:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             gen_gaussian_psd(10, sigma_db=0.0, seed=0)
+        with pytest.raises(ValueError):
+            gen_gaussian_psd(10, mean_dbm=float("inf"), seed=0)
 
 
 class TestPeriodic:
