@@ -6,14 +6,15 @@ match-length estimator (``lz_parse``, ``lz_parse_fast``,
 naive quadratic reference and ``lz_parse_fast`` must return bit-identical
 output, so the whole correctness burden sits on the simple code and the
 fast path is validated purely by differential testing.  ``lz_parse_fast``
-costs O(n) amortised steps on every input, constant, periodic and idle
-bands included, because lambda_{i+1} >= lambda_i - 1 lets each position
-resume the previous match instead of restarting it.
+is a suffix automaton on integer states and flat lists, with a dict in
+place of the flat table for large alphabets; it takes O(n) amortised
+steps on every input and O(n) memory on every alphabet.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,7 @@ def _symbol_ids(levels) -> list[int]:
     # Match lengths depend only on the equality structure, so any symbols
     # can be relabeled by first occurrence.
     ids: dict = {}
-    out = []
-    for v in levels:
-        out.append(ids.setdefault(v, len(ids)))
-    return out
+    return [ids.setdefault(v, len(ids)) for v in levels]
 
 
 def lz_parse(levels) -> LzParse:
@@ -104,80 +102,90 @@ def _occurs(seq: list[int], start: int, length: int) -> bool:
     return False
 
 
-class _State:
-    """Node of the suffix automaton indexing the growing past window."""
-
-    __slots__ = ("transitions", "suffix", "max_len")
-
-    def __init__(self, max_len: int, suffix: "_State | None"):
-        self.transitions: dict = {}
-        self.suffix = suffix
-        self.max_len = max_len
+_FLAT_MAX_SIGMA = 16
 
 
 def lz_parse_fast(levels) -> LzParse:
-    """Match-length parse via an online suffix automaton.
+    """Match-length parse via an online suffix automaton on integer states.
 
     Bit-identical to ``lz_parse`` for every input.  At position i the
     automaton indexes exactly the factors of the strict past, so the
-    longest past match is a walk along the suffix with no overlap
-    bookkeeping; afterwards the automaton is extended by one symbol.
-    The match is carried across positions, as in matching statistics:
-    a match at i minus its first symbol is a match at i+1, so
-    lambda_{i+1} >= lambda_i - 1 and the walk resumes where it stopped
-    (one suffix link drops the first symbol).  Every input therefore
-    costs O(n) amortised automaton steps, whatever its sum of match
-    lengths.
+    longest past match is a walk along the suffix; afterwards the
+    automaton is extended by one symbol.  The match is carried across
+    positions, as in matching statistics: lambda_{i+1} >= lambda_i - 1,
+    so the walk resumes where it stopped once one suffix link has dropped
+    the match's first symbol, and every input costs O(n) amortised steps.
+
+    States index the lists ``link`` and ``max_len``.  With the input
+    relabelled to 0..sigma-1, the edge of state s on symbol c is
+    ``nxt[s * sigma + c]``, 0 when absent, since no edge enters the root.
+    Up to ``_FLAT_MAX_SIGMA`` symbols ``nxt`` is a flat list of
+    (2n + 1) * sigma slots and a clone copies one sigma-slice.  Past that
+    the list would need more memory than a dict of the edges, so ``nxt``
+    is a dict and ``symbols`` lists each state's edges for its clones.
     """
-    seq = list(levels)
+    seq = _symbol_ids(levels)
     n = len(seq)
     if n == 0:
         raise EmptySequenceError("cannot parse an empty sequence")
 
-    root = _State(0, None)
-    last = root
+    sigma = max(seq) + 1
+    flat = sigma <= _FLAT_MAX_SIGMA
+    nxt = [0] * ((2 * n + 1) * sigma) if flat else defaultdict(int)
+    symbols = defaultdict(list)
+    link = [-1]
+    max_len = [0]
+    last = 0
     lambdas = [0] * n
     # (node, length): the state reached by the current match seq[i:i+length]
-    node = root
+    node = 0
     length = 0
     for i in range(n):
         while i + length < n:
-            nxt = node.transitions.get(seq[i + length])
-            if nxt is None:
+            t = nxt[node * sigma + seq[i + length]]
+            if not t:
                 break
-            node = nxt
+            node = t
             length += 1
         lambdas[i] = length + 1
 
         c = seq[i]
-        cur = _State(last.max_len + 1, None)
+        cur = len(max_len)
+        max_len.append(i + 1)
+        link.append(0)
         p = last
-        while p is not None and c not in p.transitions:
-            p.transitions[c] = cur
-            p = p.suffix
-        if p is None:
-            cur.suffix = root
-        else:
-            q = p.transitions[c]
-            if q.max_len == p.max_len + 1:
-                cur.suffix = q
+        while p >= 0 and not nxt[p * sigma + c]:
+            nxt[p * sigma + c] = cur
+            if not flat:
+                symbols[p].append(c)
+            p = link[p]
+        if p >= 0:
+            q = nxt[p * sigma + c]
+            if max_len[q] == max_len[p] + 1:
+                link[cur] = q
             else:
-                clone = _State(p.max_len + 1, q.suffix)
-                clone.transitions = dict(q.transitions)
-                while p is not None and p.transitions.get(c) is q:
-                    p.transitions[c] = clone
-                    p = p.suffix
-                q.suffix = clone
-                cur.suffix = clone
+                clone = len(max_len)
+                max_len.append(max_len[p] + 1)
+                link.append(link[q])
+                if flat:
+                    nxt[clone * sigma : clone * sigma + sigma] = nxt[q * sigma : q * sigma + sigma]
+                else:
+                    symbols[clone] = symbols[q][:]
+                    for d in symbols[q]:
+                        nxt[clone * sigma + d] = nxt[q * sigma + d]
+                while p >= 0 and nxt[p * sigma + c] == q:
+                    nxt[p * sigma + c] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
                 # the match's state q may have lost its short strings to the clone
-                if node is q and length <= clone.max_len:
+                if node == q and length <= max_len[clone]:
                     node = clone
         last = cur
         # drop the match's first symbol: what is left is a match at i+1
         if length:
             length -= 1
-            if length <= node.suffix.max_len:
-                node = node.suffix
+            if length <= max_len[link[node]]:
+                node = link[node]
     return LzParse(tuple(lambdas))
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,44 @@ class TestLzParseFastDifferential:
         for q in (1, 2, 3, 16, 64):
             seq = rng.integers(0, q, 700).tolist()
             assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+
+    @pytest.mark.parametrize("sigma", [16, 17, 255, 256, 300])
+    def test_alphabets_either_side_of_the_flat_table_limit(self, sigma):
+        # Small alphabets index a flat transition list and large ones a
+        # dict; 300 symbols also take lz_parse off its bytes path.  Every
+        # symbol occurs, and repeated blocks make the automaton clone.
+        rng = np.random.default_rng(sigma)
+        block = rng.integers(0, sigma, 40).tolist()
+        seq = rng.permutation(sigma).tolist() + block + rng.integers(0, sigma, 300).tolist() + block * 3
+        assert len(set(seq)) == sigma
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+
+    def test_all_distinct_symbols_parse_in_bounded_memory(self):
+        # sigma = n here, so a table of (2n + 1) * sigma slots would need
+        # about 400 MB; the edges themselves number about 2n.
+        tracemalloc.start()
+        try:
+            lams = lz_parse_fast(list(range(5000))).lambdas
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lams == (1,) * 5000
+        assert peak < 32e6, f"peak {peak / 1e6:.0f} MB"
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            "abab",
+            "abracadabra",
+            [-1, -2, -1, -2, -1, 0, -2],
+            [10**12, 5, 10**12, 5, 10**12, 10**12],
+            [0.5, 1.5, 0.5, 0.5, 1.5, 0.5, 2.25],
+            list(np.array([3, 7, 3, 7, 3, 9], dtype=np.int64)),
+        ],
+        ids=["str", "str-long", "negative", "1e12", "float", "numpy-int64"],
+    )
+    def test_agrees_with_reference_on_any_hashable_symbols(self, seq):
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
