@@ -22,10 +22,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -65,36 +65,19 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a report, embedded in each report."""
-
-    command: str
-    inputs: tuple[str, ...]
-    tool_version: str
-    created_utc: str
-    q: int | None = None
-    strategy: str | None = None
-    block: int | None = None
-    avg_domain: str | None = None
-    thresholds: tuple[float, ...] | None = None
-    dc_before_average: bool | None = None
-    jobs: int | None = None
-    service_map: str | None = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
-
-
 def _atomic_write(files: dict[Path, str]) -> None:
     """Write every file to a temporary name beside it, then rename them in
-    order; a failure before the last rename leaves the last file untouched."""
+    order; a failure before the last rename leaves the last file untouched.
+    Each file gets the mode ``open(path, "w")`` would give a new file."""
+    umask = os.umask(0)
+    os.umask(umask)
     temps: dict[Path, str] = {}
     try:
         for path, text in files.items():
             fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
+            os.chmod(temps[path], 0o666 & ~umask)
         for path, tmp in temps.items():
             os.replace(tmp, path)
     except BaseException:
@@ -106,15 +89,15 @@ def _atomic_write(files: dict[Path, str]) -> None:
 
 def _write_report(args, command: str, inputs, lines: list[str], body: dict, summary: str, **params) -> int:
     """Write the CSV ``lines`` and a JSON report with the run manifest and ``body``."""
-    manifest = RunManifest(
-        command=command,
-        inputs=tuple(inputs),
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        service_map=args.service_map or None,
+    manifest = {
+        "command": command,
+        "inputs": inputs,
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **params,
-    )
-    report = {"schema": SCHEMA, "manifest": manifest.to_dict(), **body}
+        "service_map": args.service_map or None,
+    }
+    report = {"schema": SCHEMA, "manifest": {k: v for k, v in manifest.items() if v is not None}, **body}
     json_path = args.output.with_suffix(".json")
     # the CSV goes last: a failure before its rename keeps the old pair
     _atomic_write({json_path: json.dumps(report, indent=2) + "\n", args.output: "\n".join(lines) + "\n"})
@@ -164,7 +147,7 @@ def cmd_duty_cycle(args) -> int:
     return _write_report(
         args, "duty-cycle", [args.input], lines, {"thresholds": thresholds, "bands": bands_json},
         f"{len(order)} bands", block=args.block, avg_domain=args.avg_domain,
-        thresholds=tuple(thresholds), dc_before_average=args.before_average,
+        thresholds=thresholds, dc_before_average=args.before_average,
     )
 
 
@@ -304,6 +287,13 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
 
 
 def cmd_synth(args) -> int:
+    if args.bands < 1:
+        raise ConfigError(f"--bands must be >= 1, got {args.bands}")
+    header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]
+    for tok in header:
+        # checked as written, since rounding can overflow; load_matrix rejects the same tokens
+        if not 0 < float(tok) < math.inf:
+            raise ConfigError(f"band frequency {tok} MHz must be positive and finite")
     n = args.n
     columns: list[list[str]] = []
     for k in range(args.bands):
@@ -327,11 +317,8 @@ def cmd_synth(args) -> int:
             qt = gen_periodic(_parse_pattern(args.pattern), args.repeats)
             columns.append([str(v) for v in qt.levels])
             n = len(qt.levels)
-    if any(len(col) != len(columns[0]) for col in columns):
-        raise ConfigError("all bands must have the same length")
 
-    freqs = [args.start_mhz + k * args.step_mhz for k in range(args.bands)]
-    lines = [",".join(_fmt(f) for f in freqs)]
+    lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(row))
     _atomic_write({args.output: "\n".join(lines) + "\n"})

@@ -54,7 +54,6 @@ class DutyCycleReport:
     """Fraction of time slots above a detection threshold, per band."""
 
     per_band: tuple[tuple[BandMetadata, float], ...]
-    threshold_dbm: float
 
     def __post_init__(self) -> None:
         for band, dc in self.per_band:
@@ -156,10 +155,7 @@ def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> DutyCycleReport:
     if matrix.n_slots == 0:
         raise EmptyTraceError("matrix has no time slots")
     frac = (matrix.rows > threshold_dbm).mean(axis=0)
-    return DutyCycleReport(
-        per_band=tuple((band, float(dc)) for band, dc in zip(matrix.bands, frac)),
-        threshold_dbm=threshold_dbm,
-    )
+    return DutyCycleReport(tuple((band, float(dc)) for band, dc in zip(matrix.bands, frac)))
 
 
 def load_service_map(path) -> dict[str, tuple[float, float]]:

@@ -15,7 +15,7 @@ MAX_Q = 2**16
 
 
 class Strategy(Enum):
-    """How bin edges are placed over the value range."""
+    """How bin edges are placed between a band's own min and max."""
 
     EQUAL_WIDTH = "equal-width"
     EQUAL_FREQUENCY = "equal-frequency"
@@ -23,56 +23,36 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class QuantizationConfig:
-    """Alphabet size, binning strategy and value range for a quantizer.
-
-    ``value_range=None`` means each band is binned over its own observed
-    min/max; an explicit ``(lo, hi)`` pins the range instead (only
-    meaningful for equal-width binning, quantiles always come from the
-    data itself).
-    """
+    """Alphabet size and binning strategy; each band is binned over its own min/max."""
 
     q: int
     strategy: Strategy = Strategy.EQUAL_WIDTH
-    value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.q <= MAX_Q:
             raise ValueError(f"q must lie in [1, {MAX_Q}], got {self.q}")
-        if self.value_range is not None:
-            lo, hi = self.value_range
-            if not lo < hi:
-                raise ValueError(f"explicit range needs lo < hi, got ({lo}, {hi})")
 
 
 def quantize(trace: PsdTrace, cfg: QuantizationConfig) -> QuantizedTrace:
     """Map each sample to a level in {0, ..., q-1}.
 
     A value equal to an interior edge goes to the upper bin, and the
-    range maximum lands in the top bin, so the mapping is total and
-    monotone for any finite input.  A degenerate band (observed max equal
-    to min, with no explicit range to spread it) maps everything to level
-    0 with no edges.
+    band maximum lands in the top bin, so the mapping is total and
+    monotone for any finite input.  A degenerate band (max equal to min)
+    maps everything to level 0.
     """
     arr = np.asarray(trace.samples, dtype=np.float64)
     q = cfg.q
-
+    lo, hi = float(arr.min()), float(arr.max())
+    if hi == lo:
+        return QuantizedTrace(trace.band, (0,) * len(arr), q)
     if cfg.strategy is Strategy.EQUAL_WIDTH:
-        if cfg.value_range is not None:
-            lo, hi = cfg.value_range
-        else:
-            lo, hi = float(arr.min()), float(arr.max())
-            if hi == lo:
-                return QuantizedTrace(trace.band, (0,) * len(arr), q)
         edges = lo + np.arange(1, q) * ((hi - lo) / q)
     else:
-        if float(arr.min()) == float(arr.max()):
-            return QuantizedTrace(trace.band, (0,) * len(arr), q)
         # Tied data can repeat a quantile; collapsing duplicates keeps the
         # edges strictly increasing and simply leaves some levels unused.
         edges = np.unique(np.quantile(arr, np.arange(1, q) / q))
-
-    levels = np.searchsorted(edges, arr, side="right")
-    return QuantizedTrace(trace.band, tuple(int(v) for v in levels), q, tuple(float(e) for e in edges))
+    return QuantizedTrace(trace.band, np.searchsorted(edges, arr, side="right"), q)
 
 
 def level_distribution(qt: QuantizedTrace) -> LevelDistribution:

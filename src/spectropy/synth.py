@@ -91,7 +91,7 @@ def gen_iid_uniform(q: int, n: int, seed: int) -> QuantizedTrace:
         raise ValueError("q and n must be >= 1")
     rng = np.random.default_rng(seed)
     levels = rng.integers(0, q, size=n)
-    return QuantizedTrace(_default_band(f"iid-uniform(q={q},seed={seed})"), tuple(levels), q)
+    return QuantizedTrace(_default_band(f"iid-uniform(q={q},seed={seed})"), levels, q)
 
 
 def gen_markov(spec: MarkovSpec, n: int) -> QuantizedTrace:
@@ -109,7 +109,7 @@ def gen_markov(spec: MarkovSpec, n: int) -> QuantizedTrace:
     for i in range(1, n):
         state = min(int(np.searchsorted(cum_rows[state], u[i], side="right")), q - 1)
         levels[i] = state
-    return QuantizedTrace(_default_band(f"markov(q={q},seed={spec.seed})"), tuple(levels), q)
+    return QuantizedTrace(_default_band(f"markov(q={q},seed={spec.seed})"), levels, q)
 
 
 def stationary_distribution(spec: MarkovSpec) -> np.ndarray:

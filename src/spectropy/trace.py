@@ -62,29 +62,19 @@ class QuantizedTrace:
 
     ``q`` is carried explicitly rather than inferred from ``max(levels)``
     so an all-constant trace keeps its intended alphabet size.
-    ``bin_edges`` holds the interior cut points when the trace came out
-    of a quantizer; it is empty for synthetic level sequences and for
-    degenerate (constant) bands.
     """
 
     band: BandMetadata
     levels: tuple[int, ...]
     q: int
-    bin_edges: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-        object.__setattr__(self, "bin_edges", tuple(float(v) for v in self.bin_edges))
+        arr = np.asarray(self.levels, dtype=np.int64)
+        object.__setattr__(self, "levels", tuple(arr.tolist()))
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.levels:
-            arr = np.asarray(self.levels, dtype=np.int64)
-            if arr.min() < 0 or arr.max() > self.q - 1:
-                raise ValueError(f"levels must lie in [0, {self.q - 1}]")
-        if self.bin_edges:
-            edges = np.asarray(self.bin_edges, dtype=np.float64)
-            if not (np.diff(edges) > 0).all():
-                raise ValueError("bin_edges must be strictly increasing")
+        if arr.size and (arr.min() < 0 or arr.max() > self.q - 1):
+            raise ValueError(f"levels must lie in [0, {self.q - 1}]")
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -394,6 +394,42 @@ class TestSynthCommand:
         _, rows = read_csv_rows(out)
         assert {int(r["614.1"]) for r in rows} <= {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("bands", ["0", "-2"])
+    def test_no_bands_exit_3(self, tmp_path, capsys, bands):
+        out = tmp_path / "o.csv"
+        assert run_cli("synth", "--model", "gaussian", "--n", "10", "--bands", bands, "--output", out) == 3
+        assert "--bands must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--start-mhz", "1", "--step-mhz", "-1", "--bands", "2"],  # second band at 0 MHz
+            ["--start-mhz", "1e308", "--step-mhz", "1e308", "--bands", "2"],  # overflows to inf
+            ["--start-mhz", "nan"],
+            ["--start-mhz", "1.7976931348623157e308"],  # written as 1.797693135e+308, which reads back as inf
+        ],
+    )
+    def test_frequency_the_loader_rejects_exit_3(self, tmp_path, capsys, flags):
+        out = tmp_path / "o.csv"
+        assert run_cli("synth", "--model", "gaussian", "--n", "10", *flags, "--output", out) == 3
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask-022", "umask-027"])
+def test_outputs_get_the_mode_of_a_plain_write(tmp_path, umask, mode):
+    trace, out = tmp_path / "g.csv", tmp_path / "a.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli("synth", "--model", "gaussian", "--n", "50", "--output", trace) == 0
+        assert run_cli("analyze", trace, "--output", out) == 0
+    finally:
+        os.umask(old)
+    assert {p.name: p.stat().st_mode & 0o777 for p in (trace, out, out.with_suffix(".json"))} == {
+        "g.csv": mode, "a.csv": mode, "a.json": mode,
+    }
+
 
 def json_values(numbers):
     return st.recursive(

@@ -79,10 +79,6 @@ class TestQuantizedTrace:
         qt = QuantizedTrace(make_band(), (0, 0, 0), 8)
         assert qt.q == 8
 
-    def test_edges_must_strictly_increase(self):
-        with pytest.raises(ValueError):
-            QuantizedTrace(make_band(), (0, 1), 2, (1.0, 1.0))
-
     def test_q_must_be_positive(self):
         with pytest.raises(ValueError):
             QuantizedTrace(make_band(), (), 0)
