@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
@@ -42,6 +41,7 @@ from .ingest import (
     duty_cycle,
     load_matrix,
     load_service_map,
+    parse_header,
     service_for_frequency,
 )
 from .pipeline import analyze_matrix
@@ -290,10 +290,10 @@ def cmd_synth(args) -> int:
     if args.bands < 1:
         raise ConfigError(f"--bands must be >= 1, got {args.bands}")
     header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]
-    for tok in header:
-        # checked as written, since rounding can overflow; load_matrix rejects the same tokens
-        if not 0 < float(tok) < math.inf:
-            raise ConfigError(f"band frequency {tok} MHz must be positive and finite")
+    try:  # checked as written, since rounding can overflow
+        parse_header(",".join(header), 1)
+    except ParseError as exc:  # load_matrix would reject the file
+        raise ConfigError(f"band {exc.reason}") from None
     n = args.n
     columns: list[list[str]] = []
     for k in range(args.bands):

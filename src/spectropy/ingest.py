@@ -3,13 +3,17 @@
 The CSV contract: the first non-comment line lists band center
 frequencies in MHz, every following line is one time slot of PSD values
 in dBm with the same field count, ``#`` lines are skipped, decimal point
-is ``.``, LF or CRLF both accepted, and the file is UTF-8 text.
+is ``.``, LF, CRLF and a bare CR each end a line, and the file is UTF-8
+text.  Plain ASCII without CR is read by numpy's parser, anything else
+(or anything it rejects) by the line reader, with the same errors.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,45 +65,71 @@ class DutyCycleReport:
                 raise ValueError(f"duty cycle {dc} for {band.label!r} outside [0, 1]")
 
 
+# numpy's float parser agrees with float() on these bytes; CR is left out, as universal newlines end a line there
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c"
+
+
 def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None) -> SpectrumMatrix:
     """Parse a PSD trace CSV into a SpectrumMatrix.
 
     Line numbers in errors are 1-based and count comment lines too.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.object is all of it
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.translate(None, _PLAIN_BYTES):
+        body = io.BytesIO(raw)  # shares the buffer of raw; loadtxt reads on from the line after the header
+        try:
+            lineno, line = next(_content_lines(b.decode("ascii").removesuffix("\n") for b in body))
+            bands = parse_header(line, lineno, service_map)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
+                rows = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+            if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
+                return SpectrumMatrix(bands=bands, rows=rows)
+        except (StopIteration, ValueError, Warning):
+            pass
+    return _scan_matrix(raw, path, service_map)
 
-    header: list[str] | None = None
-    bands: list[BandMetadata] = []
+
+def _content_lines(lines):
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
+def parse_header(line: str, lineno: int, service_map=None) -> tuple[BandMetadata, ...]:
+    """Bands of a header line, whose frequencies in MHz must be positive and finite in Hz."""
+    bands = []
+    for tok in line.split(","):
+        try:
+            mhz = float(tok)
+        except ValueError:
+            raise ParseError(lineno, f"bad frequency {tok!r} in header") from None
+        if not 0 < mhz * 1e6 < math.inf:
+            raise ParseError(lineno, f"frequency {tok!r} must be positive and finite in Hz")
+        service = None if service_map is None else service_for_frequency(mhz, service_map)
+        bands.append(BandMetadata(center_freq_hz=mhz * 1e6, label=f"{tok.strip()} MHz", service=service))
+    return tuple(bands)
+
+
+def _scan_matrix(raw: bytes, path, service_map=None) -> SpectrumMatrix:
+    """Parse the file line by line, raising every load error with its line number."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start]  # lines end at LF, CRLF and a bare CR, as in the loop below
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    bands: tuple[BandMetadata, ...] | None = None
     data: list[list[float]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
+    # universal newlines, as a text-mode open() gives: CRLF and a bare CR end a line too
+    for lineno, line in _content_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
+        if bands is None:
+            bands = parse_header(line, lineno, service_map)
             continue
         fields = line.split(",")
-        if header is None:
-            header = fields
-            for tok in fields:
-                try:
-                    mhz = float(tok)
-                except ValueError:
-                    raise ParseError(lineno, f"bad frequency {tok!r} in header") from None
-                if not math.isfinite(mhz) or mhz <= 0:
-                    raise ParseError(lineno, f"frequency {tok!r} must be positive and finite")
-                service = None
-                if service_map is not None:
-                    service = service_for_frequency(mhz, service_map)
-                bands.append(
-                    BandMetadata(center_freq_hz=mhz * 1e6, label=f"{tok.strip()} MHz", service=service)
-                )
-            continue
-        if len(fields) != len(header):
-            raise RaggedRowError(lineno, len(header), len(fields))
+        if len(fields) != len(bands):
+            raise RaggedRowError(lineno, len(bands), len(fields))
         row = []
         for col, tok in enumerate(fields, start=1):
             try:
@@ -111,11 +141,11 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
             row.append(v)
         data.append(row)
 
-    if header is None:
+    if bands is None:
         raise EmptyTraceError(f"{path}: file has no header line")
     if not data:
         raise EmptyTraceError(f"{path}: file has no data rows")
-    return SpectrumMatrix(bands=tuple(bands), rows=np.asarray(data, dtype=np.float64))
+    return SpectrumMatrix(bands=bands, rows=np.asarray(data, dtype=np.float64))
 
 
 def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") -> SpectrumMatrix:

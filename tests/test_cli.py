@@ -67,6 +67,12 @@ class TestDutyCycleCommand:
         _, rows = read_csv_rows(out)
         assert rows[0]["duty_cycle_-114"] == "0"
 
+    def test_frequency_infinite_in_hz_exit_2(self, tmp_path, capsys):
+        path = write_text(tmp_path / "t.csv", "# scanner export\n1e303,614.1\n-100,-100\n")
+        assert run_cli("duty-cycle", path, "--output", tmp_path / "dc.csv") == 2
+        assert "Parse: line 2: frequency '1e303' must be positive and finite in Hz" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_before_average_flag(self, tmp_path):
         # one loud sample then quiet: averaging smears it below threshold
         path = write_text(tmp_path / "t.csv", "614.1\n-90\n-140\n-140\n-140\n")
@@ -408,6 +414,7 @@ class TestSynthCommand:
             ["--start-mhz", "1e308", "--step-mhz", "1e308", "--bands", "2"],  # overflows to inf
             ["--start-mhz", "nan"],
             ["--start-mhz", "1.7976931348623157e308"],  # written as 1.797693135e+308, which reads back as inf
+            ["--start-mhz", "1e303"],  # finite in MHz, inf in Hz
         ],
     )
     def test_frequency_the_loader_rejects_exit_3(self, tmp_path, capsys, flags):

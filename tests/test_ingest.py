@@ -1,8 +1,11 @@
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectropy import (
@@ -12,12 +15,14 @@ from spectropy import (
     ParseError,
     RaggedRowError,
     SpectrumMatrix,
+    SpectropyError,
     block_average,
     duty_cycle,
     load_matrix,
     load_service_map,
     service_for_frequency,
 )
+from spectropy.ingest import _scan_matrix
 from tests.conftest import write_text
 from tests.test_trace import make_band
 
@@ -88,6 +93,96 @@ class TestLoadMatrix:
         path = write_text(tmp_path / "t.csv", "614.1,2400.5\n-100,-100\n")
         m = load_matrix(path, service_map={"TV": (614.0, 698.0), "ISM": (2400.1, 2483.3)})
         assert [b.service for b in m.bands] == ["TV", "ISM"]
+
+    def test_non_utf8_line_counts_bare_cr(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"614.1\r-100\r\r\n\xff\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(path)
+        assert err.value.line == 4
+
+
+PLAIN_VALUES = st.floats(-150, -40).map("{:.10g}".format) | st.integers(-150, 0).map(str)
+# tokens on which numpy's parser and float() may disagree, and tokens every loader must reject
+ODD_VALUES = st.sampled_from([
+    "1_0", "-1_00.5", "\u0661\u0660", "1e303", "0", "-614.1", "", "1.5#x", "#1", "-100 # note", "0x10", "1e",
+    ".5", "+.5e1", "1.", "north",
+])
+NON_FINITE = st.sampled_from(["inf", "-inf", "Infinity", "+iNF", "nan", "NaN", "-nan", "1e999", "-1e999"])
+PADDING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0"])
+EXTRA_LINES = st.sampled_from(["", " \t", "\x0c", "# comment", "  # indented, 1,2", "#614.1"])
+
+
+@st.composite
+def trace_files(draw):
+    """A well-formed trace CSV, then up to four edits that may make it odd or malformed."""
+    width = draw(st.integers(1, 3))
+    lines = [draw(st.lists(st.floats(1, 6000).map("{:.10g}".format), min_size=width, max_size=width))]
+    lines += draw(st.lists(st.lists(PLAIN_VALUES, min_size=width, max_size=width), min_size=1, max_size=5))
+    ends = ["\n"] * len(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.integers(0, len(lines) - 1))
+        cells = lines[row]
+        col = draw(st.integers(0, max(len(cells) - 1, 0)))
+        edit = draw(st.sampled_from(["token", "non-finite", "pad", "separator", "ragged", "line", "end"]))
+        if edit == "line":
+            lines.insert(row, [draw(EXTRA_LINES)])
+            ends.insert(row, "\n")
+        elif edit == "end":
+            ends[row] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif edit == "ragged" and (draw(st.booleans()) or not cells):
+            cells.insert(col, draw(PLAIN_VALUES))
+        elif edit == "ragged":
+            cells.pop(col)
+        elif cells:
+            if edit in ("token", "non-finite"):
+                cells[col] = draw(ODD_VALUES if edit == "token" else NON_FINITE)
+            elif edit == "pad":
+                cells[col] = draw(PADDING) + cells[col] + draw(PADDING)
+            else:
+                cells[col] += draw(st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]))
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+
+
+def load_outcome(load):
+    try:
+        m = load()
+    except SpectropyError as exc:
+        return type(exc), str(exc)
+    return m.bands, m.rows.shape, m.rows.tobytes()
+
+
+class TestNumpyReader:
+    @settings(max_examples=300, deadline=None)
+    @given(text=trace_files())
+    @example(text="614.1\n1.5\x1c\n")
+    @example(text="614.1,614.3\n-100,-101 # note\n")
+    @example(text="614.1\n1e999\n")
+    @example(text="# c\r614.1,614.3\n-100,-101\n")
+    def test_matches_line_scanner(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            fast = load_outcome(lambda: load_matrix(path))
+            assert fast == load_outcome(lambda: _scan_matrix(path.read_bytes(), path))
+
+    def test_long_campaign_memory_bound(self, tmp_path, rng):
+        # the shape and number format of the benchmark's long-campaign trace: 16 bands x 50,000 slots in %.10g
+        rows = rng.normal(-100.0, 5.0, size=(50_000, 16))
+        path = tmp_path / "campaign.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + "\n")
+            np.savetxt(fh, rows, fmt="%.10g", delimiter=",")
+        tracemalloc.start()
+        try:
+            m = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size
+        assert np.array_equal(m.rows, _scan_matrix(path.read_bytes(), path).rows)
 
 
 class TestBlockAverage:
