@@ -295,32 +295,27 @@ def cmd_synth(args) -> int:
     except ParseError as exc:  # load_matrix would reject the file
         raise ConfigError(f"band {exc.reason}") from None
     n = args.n
-    columns: list[list[str]] = []
+    columns: list[tuple] = []
     for k in range(args.bands):
         seed = args.seed + k
         if args.model == "gaussian":
-            trace = gen_gaussian_psd(n, args.mean_dbm, args.sigma_db, seed)
-            columns.append([_fmt(v) for v in trace.samples])
+            columns.append(gen_gaussian_psd(n, args.mean_dbm, args.sigma_db, seed).samples)
         elif args.model == "iid":
-            qt = gen_iid_uniform(args.q, n, seed)
-            columns.append([str(v) for v in qt.levels])
+            columns.append(gen_iid_uniform(args.q, n, seed).levels)
         elif args.model == "markov":
             if not args.spec:
                 raise ConfigError("--spec is required for the markov model")
             spec = markov_spec_from_json(args.spec)
             spec = MarkovSpec(spec.transition, spec.initial, spec.seed + k)
-            qt = gen_markov(spec, n)
-            columns.append([str(v) for v in qt.levels])
+            columns.append(gen_markov(spec, n).levels)
         else:
             if not args.pattern:
                 raise ConfigError("--pattern is required for the periodic model")
-            qt = gen_periodic(_parse_pattern(args.pattern), args.repeats)
-            columns.append([str(v) for v in qt.levels])
-            n = len(qt.levels)
+            columns.append(gen_periodic(_parse_pattern(args.pattern), args.repeats).levels)
 
+    row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands)  # "%.10g" % x is _fmt(x)
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(row))
+    lines += [row_fmt % row for row in zip(*columns)]
     _atomic_write({args.output: "\n".join(lines) + "\n"})
     print(f"wrote {args.output} ({args.bands} bands x {len(columns[0])} rows)")
     return 0

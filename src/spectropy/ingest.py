@@ -4,13 +4,15 @@ The CSV contract: the first non-comment line lists band center
 frequencies in MHz, every following line is one time slot of PSD values
 in dBm with the same field count, ``#`` lines are skipped, decimal point
 is ``.``, LF, CRLF and a bare CR each end a line, and the file is UTF-8
-text.  Plain ASCII without CR is read by numpy's parser, anything else
-(or anything it rejects) by the line reader, with the same errors.
+text.  Plain ASCII, each CR starting a CRLF, is read by numpy's parser
+straight from the open file, so a load holds the matrix plus one read
+buffer; anything else (or anything numpy rejects) is read by the line
+reader, with the same errors.  Block averaging in linear power converts
+one bounded stretch of blocks to mW at a time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -65,8 +67,11 @@ class DutyCycleReport:
                 raise ValueError(f"duty cycle {dc} for {band.label!r} outside [0, 1]")
 
 
-# numpy's float parser agrees with float() on these bytes; CR is left out, as universal newlines end a line there
+# numpy's float parser agrees with float() on these bytes; a CR is read only where it starts a CRLF,
+# as numpy raises on a bare CR inside the body
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c"
+_READ_BLOCK = 1 << 16  # bytes read at a time by the plain-bytes check
+_STRETCH = 1 << 16  # values block_average holds in mW at a time
 
 
 def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None) -> SpectrumMatrix:
@@ -75,20 +80,34 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
     Line numbers in errors are 1-based and count comment lines too.
     """
     with open(path, "rb") as fh:
+        if _numpy_can_read(fh):
+            fh.seek(0)  # after the check; loadtxt then reads on from the line after the header
+            try:
+                lineno, line = next(_content_lines(b.decode("ascii").rstrip("\r\n") for b in fh))
+                bands = parse_header(line, lineno, service_map)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
+                    rows = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+                if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
+                    return SpectrumMatrix(bands=bands, rows=rows)
+            except (StopIteration, ValueError, Warning):
+                pass
+        fh.seek(0)
         raw = fh.read()
-    if not raw.translate(None, _PLAIN_BYTES):
-        body = io.BytesIO(raw)  # shares the buffer of raw; loadtxt reads on from the line after the header
-        try:
-            lineno, line = next(_content_lines(b.decode("ascii").removesuffix("\n") for b in body))
-            bands = parse_header(line, lineno, service_map)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
-                rows = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
-            if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
-                return SpectrumMatrix(bands=bands, rows=rows)
-        except (StopIteration, ValueError, Warning):
-            pass
     return _scan_matrix(raw, path, service_map)
+
+
+def _numpy_can_read(fh) -> bool:
+    """Whether every byte is plain and every CR starts a CRLF, reading one block at a time."""
+    cr = False  # the last block ended in a CR
+    while chunk := fh.read(_READ_BLOCK):
+        if cr and not chunk.startswith(b"\n"):
+            return False
+        cr = chunk.endswith(b"\r")
+        odd = chunk.translate(None, _PLAIN_BYTES)
+        if odd and (odd.replace(b"\r", b"") or chunk.count(b"\r") != chunk.count(b"\r\n") + cr):
+            return False
+    return not cr
 
 
 def _content_lines(lines):
@@ -169,11 +188,16 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
             f"block {block} larger than the {matrix.n_slots}-slot trace"
         )
     rows = matrix.rows[: n_blocks * block].reshape(n_blocks, block, -1)
-    if domain == "linear":
-        with np.errstate(divide="ignore"):
-            averaged = 10.0 * np.log10(np.power(10.0, rows / 10.0).mean(axis=1))
-    else:
-        averaged = rows.mean(axis=1)
+    if domain == "db":
+        return SpectrumMatrix(bands=matrix.bands, rows=rows.mean(axis=1))
+    averaged = np.empty((n_blocks, rows.shape[2]))
+    step = max(1, _STRETCH // (block * rows.shape[2]))
+    for lo in range(0, n_blocks, step):  # each block mean reduces its own slice, as in one whole-matrix call
+        mw = rows[lo : lo + step] / 10.0
+        np.power(10.0, mw, out=mw)
+        mw.mean(axis=1, out=averaged[lo : lo + step])
+    with np.errstate(divide="ignore"):
+        averaged = 10.0 * np.log10(averaged)
     return SpectrumMatrix(bands=matrix.bands, rows=averaged)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +100,15 @@ def gen_markov(spec: MarkovSpec, n: int) -> QuantizedTrace:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    cum_rows = np.cumsum(np.asarray(spec.transition, dtype=np.float64), axis=1)
-    cum_init = np.cumsum(np.asarray(spec.initial, dtype=np.float64))
-    u = rng.random(n)
+    cum_rows = np.cumsum(np.asarray(spec.transition, dtype=np.float64), axis=1).tolist()
+    cum_init = np.cumsum(np.asarray(spec.initial, dtype=np.float64)).tolist()
+    u = rng.random(n).tolist()
     q = spec.q
-    levels = np.empty(n, dtype=np.int64)
-    state = min(int(np.searchsorted(cum_init, u[0], side="right")), q - 1)
-    levels[0] = state
-    for i in range(1, n):
-        state = min(int(np.searchsorted(cum_rows[state], u[i], side="right")), q - 1)
-        levels[i] = state
+    state = min(bisect_right(cum_init, u[0]), q - 1)
+    levels = [state]
+    for x in u[1:]:
+        state = min(bisect_right(cum_rows[state], x), q - 1)
+        levels.append(state)
     return QuantizedTrace(_default_band(f"markov(q={q},seed={spec.seed})"), levels, q)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import spectropy
 from spectropy.cli import main
 from spectropy.quantize import MAX_Q
+from spectropy.synth import gen_gaussian_psd, gen_iid_uniform
 from tests.conftest import write_text
 
 
@@ -334,6 +335,17 @@ class TestSynthCommand:
         run_cli("synth", "--model", "gaussian", "--n", "3360", "--seed", "7", "--output", a)
         run_cli("synth", "--model", "gaussian", "--n", "3360", "--seed", "7", "--output", b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_hold_generator_values(self, tmp_path):
+        run_cli("synth", "--model", "gaussian", "--n", "500", "--bands", "3", "--seed", "4",
+                "--output", tmp_path / "g.csv")
+        run_cli("synth", "--model", "iid", "--q", "5", "--n", "500", "--bands", "2", "--output", tmp_path / "i.csv")
+        gaussian = [gen_gaussian_psd(500, seed=4 + k).samples for k in range(3)]
+        iid = [gen_iid_uniform(5, 500, k).levels for k in range(2)]
+        assert (tmp_path / "g.csv").read_text().splitlines()[1:] == [
+            ",".join(format(v, ".10g") for v in row) for row in zip(*gaussian)
+        ]
+        assert (tmp_path / "i.csv").read_text().splitlines()[1:] == [",".join(map(str, row)) for row in zip(*iid)]
 
     def test_bad_markov_spec_exit_3(self, tmp_path, capsys):
         spec = write_text(

@@ -22,6 +22,7 @@ from spectropy import (
     load_service_map,
     service_for_frequency,
 )
+from spectropy import ingest
 from spectropy.ingest import _scan_matrix
 from tests.conftest import write_text
 from tests.test_trace import make_band
@@ -161,6 +162,7 @@ class TestNumpyReader:
     @example(text="614.1,614.3\n-100,-101 # note\n")
     @example(text="614.1\n1e999\n")
     @example(text="# c\r614.1,614.3\n-100,-101\n")
+    @example(text="# c\r\n614.1,614.3\r\n-100,-101\r\n\r\n-102,-103\r\n")
     def test_matches_line_scanner(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
@@ -181,8 +183,35 @@ class TestNumpyReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * path.stat().st_size
+        assert peak < 1.5 * m.rows.nbytes
         assert np.array_equal(m.rows, _scan_matrix(path.read_bytes(), path).rows)
+
+    def test_long_campaign_crlf_memory_bound(self, tmp_path, rng):
+        rows = rng.normal(-100.0, 5.0, size=(50_000, 16))
+        path = tmp_path / "campaign.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + "\r\n")
+            np.savetxt(fh, rows, fmt="%.10g", delimiter=",", newline="\r\n")
+        tracemalloc.start()
+        try:
+            m = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.rows.nbytes
+        assert np.array_equal(m.rows, _scan_matrix(path.read_bytes(), path).rows)
+
+    @pytest.mark.parametrize("line_end, reader", [("\r\n", "numpy"), ("\r", "scanner")])
+    def test_line_end_across_read_blocks(self, tmp_path, monkeypatch, line_end, reader):
+        # the comment's CR is the last byte of the first read block
+        path = tmp_path / "t.csv"
+        path.write_bytes(("#" * (ingest._READ_BLOCK - 1) + line_end + "614.1,614.3\r\n-100,-101\r\n").encode())
+        scanned = []
+        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        m = load_matrix(path)
+        assert m.rows.tolist() == [[-100.0, -101.0]]
+        assert [b.label for b in m.bands] == ["614.1 MHz", "614.3 MHz"]
+        assert ("scanner" if scanned else "numpy") == reader
 
 
 class TestBlockAverage:
@@ -213,6 +242,32 @@ class TestBlockAverage:
         m = matrix_of([[v] for v in [-100.0, -100.0, -100.0, -100.0, -100.0]])
         out = block_average(m, 2)
         assert out.n_slots == 2
+
+    @pytest.mark.parametrize(
+        "n_slots, n_bands, block",
+        [
+            (50_013, 16, 20),  # 204 blocks a stretch; 2500 blocks are no multiple of it; a 13-slot tail
+            (20_003, 16, 5000),  # one block is larger than a stretch
+            (70_001, 1, 7),  # one band: numpy sums each block pairwise
+            (140_001, 1, 70_000),
+        ],
+    )
+    def test_matches_one_shot_mean(self, rng, n_slots, n_bands, block):
+        m = matrix_of(rng.normal(-100.0, 20.0, size=(n_slots, n_bands)))
+        rows = m.rows[: n_slots // block * block].reshape(n_slots // block, block, n_bands)
+        assert np.array_equal(block_average(m, block).rows, 10 * np.log10(np.power(10, rows / 10).mean(axis=1)))
+        assert np.array_equal(block_average(m, block, domain="db").rows, rows.mean(axis=1))
+
+    def test_linear_domain_memory_bound(self, rng):
+        m = matrix_of(rng.normal(-100.0, 5.0, size=(50_000, 16)))
+        tracemalloc.start()
+        try:
+            out = block_average(m, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.rows.shape == (2500, 16)
+        assert peak < 0.5 * m.rows.nbytes
 
     def test_block_larger_than_trace(self):
         m = matrix_of([[-100.0]] * 3)

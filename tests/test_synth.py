@@ -67,6 +67,27 @@ class TestGenMarkov:
         flips = (arr[1:] != arr[:-1]).mean()
         assert abs(flips - 0.1) < 0.01
 
+    @pytest.mark.parametrize(
+        "transition, initial",
+        [
+            (((0.9, 0.1), (0.4, 0.6)), (0.5, 0.5)),
+            (((0.0, 1.0, 0.0), (0.25, 0.0, 0.75), (0.5, 0.5, 0.0)), (0.0, 0.0, 1.0)),
+            (((0.2, 0.0, 0.0, 0.8), (0.0, 0.0, 1.0, 0.0), (0.1, 0.2, 0.3, 0.4), (0.0, 0.7, 0.0, 0.3)),
+             (0.25, 0.0, 0.5, 0.25)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_matches_searchsorted_reference(self, transition, initial, seed):
+        spec = MarkovSpec(transition, initial, seed)
+        u = np.random.default_rng(seed).random(5000)
+        cum_rows = np.cumsum(np.asarray(transition), axis=1)
+        state = min(int(np.searchsorted(np.cumsum(initial), u[0], side="right")), spec.q - 1)
+        expected = [state]
+        for x in u[1:]:
+            state = min(int(np.searchsorted(cum_rows[state], x, side="right")), spec.q - 1)
+            expected.append(state)
+        assert gen_markov(spec, 5000).levels == tuple(expected)
+
     def test_deterministic_given_seed(self):
         spec = binary_symmetric_spec(0.3, seed=9)
         assert gen_markov(spec, 2000).levels == gen_markov(spec, 2000).levels
