@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from .errors import (
     error_name,
 )
 from .ingest import (
+    AVG_DOMAINS,
     block_average,
     duty_cycle,
     load_matrix,
@@ -65,18 +68,18 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _atomic_write(files: dict[Path, str]) -> None:
-    """Write every file to a temporary name beside it, then rename them in
-    order; a failure before the last rename leaves the last file untouched.
+def _atomic_write(files: dict[Path, Iterable[str]]) -> None:
+    """Write the text pieces of every file to a temporary name beside it, then rename
+    them in order; a failure before the last rename leaves the last file untouched.
     Each file gets the mode ``open(path, "w")`` would give a new file."""
     umask = os.umask(0)
     os.umask(umask)
     temps: dict[Path, str] = {}
     try:
-        for path, text in files.items():
+        for path, pieces in files.items():
             fd, temps[path] = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.chmod(temps[path], 0o666 & ~umask)
         for path, tmp in temps.items():
             os.replace(tmp, path)
@@ -100,7 +103,7 @@ def _write_report(args, command: str, inputs, lines: list[str], body: dict, summ
     report = {"schema": SCHEMA, "manifest": {k: v for k, v in manifest.items() if v is not None}, **body}
     json_path = args.output.with_suffix(".json")
     # the CSV goes last: a failure before its rename keeps the old pair
-    _atomic_write({json_path: json.dumps(report, indent=2) + "\n", args.output: "\n".join(lines) + "\n"})
+    _atomic_write({json_path: [json.dumps(report, indent=2), "\n"], args.output: ["\n".join(lines), "\n"]})
     print(f"wrote {args.output} and {json_path} ({summary})")
     return 0
 
@@ -164,7 +167,7 @@ def _analyze_params_from_manifest(path) -> dict:
         params = {
             "input": os.fspath(manifest["inputs"][0]),
             "q": int(manifest["q"]),
-            "strategy": manifest["strategy"],
+            "strategy": Strategy(manifest["strategy"]).value,
             "block": int(manifest["block"]),
             "avg_domain": manifest["avg_domain"],
             "jobs": int(manifest.get("jobs", 1)),
@@ -172,8 +175,14 @@ def _analyze_params_from_manifest(path) -> dict:
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(1, f"{path}: not a usable analyze manifest ({exc})") from None
     if not 1 <= params["q"] <= MAX_Q:
-        raise ParseError(1, f"{path}: not a usable analyze manifest (q {params['q']} outside [1, {MAX_Q}])")
-    return params
+        problem = f"q {params['q']} outside [1, {MAX_Q}]"
+    elif params["avg_domain"] not in AVG_DOMAINS:
+        problem = f"avg_domain {params['avg_domain']!r} is not one of {AVG_DOMAINS}"
+    elif min(params["block"], params["jobs"]) < 1:
+        problem = f"block {params['block']} or jobs {params['jobs']} below 1"
+    else:
+        return params
+    raise ParseError(1, f"{path}: not a usable analyze manifest ({problem})")
 
 
 def cmd_analyze(args) -> int:
@@ -313,10 +322,10 @@ def cmd_synth(args) -> int:
                 raise ConfigError("--pattern is required for the periodic model")
             columns.append(gen_periodic(_parse_pattern(args.pattern), args.repeats).levels)
 
-    row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands)  # "%.10g" % x is _fmt(x)
-    lines = [",".join(header)]
-    lines += [row_fmt % row for row in zip(*columns)]
-    _atomic_write({args.output: "\n".join(lines) + "\n"})
+    # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
+    row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"
+    rows = (row_fmt % row for row in zip(*columns))
+    _atomic_write({args.output: itertools.chain([",".join(header) + "\n"], rows)})
     print(f"wrote {args.output} ({args.bands} bands x {len(columns[0])} rows)")
     return 0
 
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--threshold", type=float, action="append", metavar="DBM",
                     help="detection threshold in dBm, repeatable (default: -107 and -114)")
     dc.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
-    dc.add_argument("--avg-domain", choices=["linear", "db"], default="linear")
+    dc.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")
     dc.add_argument("--before-average", action="store_true",
                     help="compute duty cycle on raw samples instead of after block averaging")
     dc.add_argument("--service-map", help="service-map JSON sidecar")
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--q", type=int, default=8, help=f"number of quantization levels, 1 to {MAX_Q} (default 8)")
     an.add_argument("--strategy", choices=[s.value for s in Strategy], default=Strategy.EQUAL_WIDTH.value)
     an.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
-    an.add_argument("--avg-domain", choices=["linear", "db"], default="linear")
+    an.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")
     an.add_argument("--jobs", type=int, default=1,
                     help="worker processes for per-band analysis (at most one per band and CPU)")
     an.add_argument("--service-map", help="service-map JSON sidecar")

@@ -242,17 +242,15 @@ def block_entropy_rate(levels, k: int) -> float:
     m = n - k + 1
     if base == 1:
         return 0.0
-    if k * math.log2(base) < 62:
-        codes = np.zeros(m, dtype=np.int64)
-        for j in range(k):
-            codes = codes * base + arr[j : j + m]
-        _, counts = np.unique(codes, return_counts=True)
-    else:
-        seen: dict = {}
-        for i in range(m):
-            w = tuple(arr[i : i + k])
-            seen[w] = seen.get(w, 0) + 1
-        counts = np.asarray(list(seen.values()), dtype=np.int64)
+    width = int(62 // math.log2(base))  # symbols one int64 code holds: base**width <= 2**62
+    codes = np.zeros((-(-k // width), m), dtype=np.int64)  # one row of codes per width symbols of a window
+    for j in range(k):
+        codes[j // width] *= base
+        codes[j // width] += arr[j : j + m]
+    if len(codes) == 1:
+        _, counts = np.unique(codes[0], return_counts=True)
+    else:  # count the distinct code tuples, m x len(codes) int64s
+        _, counts = np.unique(codes.T, axis=0, return_counts=True)
     p = counts / m
     return float(-(p * np.log2(p)).sum()) / k
 

@@ -2,17 +2,19 @@
 
 The CSV contract: the first non-comment line lists band center
 frequencies in MHz, every following line is one time slot of PSD values
-in dBm with the same field count, ``#`` lines are skipped, decimal point
-is ``.``, LF, CRLF and a bare CR each end a line, and the file is UTF-8
-text.  Plain ASCII, each CR starting a CRLF, is read by numpy's parser
-straight from the open file, so a load holds the matrix plus one read
-buffer; anything else (or anything numpy rejects) is read by the line
-reader, with the same errors.  Block averaging in linear power converts
-one bounded stretch of blocks to mW at a time.
+in dBm with the same field count, ``#`` lines and blank lines are
+skipped, decimal point is ``.``, LF, CRLF and a bare CR each end a line,
+and the file is UTF-8 text.  Plain ASCII is read by numpy's parser from
+one universal-newline text stream over the open file, so a load holds
+the matrix plus one read buffer; anything else (or anything numpy
+rejects, such as a comment or whitespace-only line among the rows) is
+read by the line reader, with the same errors.  Block averaging in
+linear power converts one bounded stretch of blocks to mW at a time.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -67,11 +69,11 @@ class DutyCycleReport:
                 raise ValueError(f"duty cycle {dc} for {band.label!r} outside [0, 1]")
 
 
-# numpy's float parser agrees with float() on these bytes; a CR is read only where it starts a CRLF,
-# as numpy raises on a bare CR inside the body
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c"
+# numpy's float parser agrees with float() on these bytes, and the text stream turns every CR into a line end
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c\r"
 _READ_BLOCK = 1 << 16  # bytes read at a time by the plain-bytes check
 _STRETCH = 1 << 16  # values block_average holds in mW at a time
+AVG_DOMAINS = ("linear", "db")  # what block_average's domain may be
 
 
 def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None) -> SpectrumMatrix:
@@ -80,14 +82,15 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
     Line numbers in errors are 1-based and count comment lines too.
     """
     with open(path, "rb") as fh:
-        if _numpy_can_read(fh):
-            fh.seek(0)  # after the check; loadtxt then reads on from the line after the header
+        if not any(block.translate(None, _PLAIN_BYTES) for block in iter(lambda: fh.read(_READ_BLOCK), b"")):
+            fh.seek(0)
+            lines = io.TextIOWrapper(fh, encoding="ascii", newline=None)  # LF, CRLF and a bare CR end a line
             try:
-                lineno, line = next(_content_lines(b.decode("ascii").rstrip("\r\n") for b in fh))
-                bands = parse_header(line, lineno, service_map)
+                lineno, line = next(_content_lines(lines))
+                bands = parse_header(line.rstrip("\n"), lineno, service_map)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
-                    rows = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+                    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
                 if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
                     return SpectrumMatrix(bands=bands, rows=rows)
             except (StopIteration, ValueError, Warning):
@@ -95,19 +98,6 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
         fh.seek(0)
         raw = fh.read()
     return _scan_matrix(raw, path, service_map)
-
-
-def _numpy_can_read(fh) -> bool:
-    """Whether every byte is plain and every CR starts a CRLF, reading one block at a time."""
-    cr = False  # the last block ended in a CR
-    while chunk := fh.read(_READ_BLOCK):
-        if cr and not chunk.startswith(b"\n"):
-            return False
-        cr = chunk.endswith(b"\r")
-        odd = chunk.translate(None, _PLAIN_BYTES)
-        if odd and (odd.replace(b"\r", b"") or chunk.count(b"\r") != chunk.count(b"\r\n") + cr):
-            return False
-    return not cr
 
 
 def _content_lines(lines):
@@ -178,8 +168,8 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    if domain not in ("linear", "db"):
-        raise ValueError(f"domain must be 'linear' or 'db', got {domain!r}")
+    if domain not in AVG_DOMAINS:
+        raise ValueError(f"domain must be one of {AVG_DOMAINS}, got {domain!r}")
     if block == 1:
         return matrix
     n_blocks = matrix.n_slots // block

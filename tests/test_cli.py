@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,13 @@ class TestAnalyzeCommand:
             b"{not json",
             b'{"manifest": {}}\xff',
             b'{"command": "analyze", "inputs": ["t.csv"], "q": 1e999, "strategy": "equal-width", "block": 1}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "bogus", "block": 1, "avg_domain": "db"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "bogus"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 0,'
+            b' "avg_domain": "db"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db", "jobs": 0}',
         ],
     )
     def test_unusable_manifest_exit_2(self, tmp_path, capsys, content):
@@ -346,6 +354,18 @@ class TestSynthCommand:
             ",".join(format(v, ".10g") for v in row) for row in zip(*gaussian)
         ]
         assert (tmp_path / "i.csv").read_text().splitlines()[1:] == [",".join(map(str, row)) for row in zip(*iid)]
+
+    def test_write_holds_less_than_the_text(self, tmp_path, capsys):
+        # the generators' samples are Python floats in tuples, 32 bytes each; writing the CSV must not
+        # hold another copy of its text on top of them
+        out = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            assert run_cli("synth", "--model", "gaussian", "--n", "20000", "--bands", "16", "--output", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 16 * 32 + out.stat().st_size
 
     def test_bad_markov_spec_exit_3(self, tmp_path, capsys):
         spec = write_text(

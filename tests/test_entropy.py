@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -336,6 +337,25 @@ class TestBlockEntropyRate:
         # tuple-counting path; all windows distinct -> H_k = log2(m)
         seq = list(range(100))
         assert block_entropy_rate(seq, 10) == pytest.approx(math.log2(91) / 10, abs=1e-12)
+
+    @pytest.mark.parametrize("q, k", [(2, 62), (2, 63), (2, 130), (3, 80), (7, 30)])
+    def test_wide_window_matches_tuple_count(self, rng, q, k):
+        # windows of one, two and three int64 codes, each boundary included
+        seq = rng.integers(0, q, 3000).tolist()
+        m = len(seq) - k + 1
+        p = np.array(list(Counter(tuple(seq[i : i + k]) for i in range(m)).values())) / m
+        assert block_entropy_rate(seq, k) == pytest.approx(float(-(p * np.log2(p)).sum()) / k, abs=1e-12)
+
+    def test_wide_window_memory_bound(self, rng):
+        # binary k=64 windows take two codes each; a copy of every window would be 64 x 8 B per window
+        seq = rng.integers(0, 2, 50_000).tolist()
+        tracemalloc.start()
+        try:
+            block_entropy_rate(seq, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * len(seq)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySequenceError):
