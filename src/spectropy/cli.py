@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -114,6 +115,17 @@ def _report_path(text: str) -> Path:
     if path.suffix == ".json":
         raise argparse.ArgumentTypeError(f"{text!r} is where the JSON report goes; give the CSV path")
     return path
+
+
+def _finite_float(text: str) -> float:
+    # a NaN or infinite threshold would put NaN/Infinity, which is not JSON, into the report
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -337,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dc = sub.add_parser("duty-cycle", help="per-band occupancy under detection thresholds")
     dc.add_argument("input", help="PSD trace CSV")
-    dc.add_argument("--threshold", type=float, action="append", metavar="DBM",
+    dc.add_argument("--threshold", type=_finite_float, action="append", metavar="DBM",
                     help="detection threshold in dBm, repeatable (default: -107 and -114)")
     dc.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
     dc.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")

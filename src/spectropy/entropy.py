@@ -69,37 +69,23 @@ def lz_parse(levels) -> LzParse:
 
     For each position the candidate prefix is grown one symbol at a time
     and searched for in the strict past, which is as close to the
-    definition as code gets.
+    definition as code gets.  The search runs on a string with one
+    character per relabelled symbol, so ids must stay below 0x110000.
     """
     seq = _symbol_ids(levels)
     n = len(seq)
     if n == 0:
         raise EmptySequenceError("cannot parse an empty sequence")
 
+    text = "".join(map(chr, seq))
     lambdas = []
-    if max(seq) < 256:
-        buf = bytes(seq)
-        for i in range(n):
-            past = buf[:i]
-            length = 0
-            while i + length < n and past.find(buf[i : i + length + 1]) != -1:
-                length += 1
-            lambdas.append(length + 1)
-    else:
-        for i in range(n):
-            length = 0
-            while i + length < n and _occurs(seq, i, length + 1):
-                length += 1
-            lambdas.append(length + 1)
+    for i in range(n):
+        past = text[:i]
+        length = 0
+        while i + length < n and past.find(text[i : i + length + 1]) != -1:
+            length += 1
+        lambdas.append(length + 1)
     return LzParse(tuple(lambdas))
-
-
-def _occurs(seq: list[int], start: int, length: int) -> bool:
-    needle = seq[start : start + length]
-    for j in range(start - length + 1):
-        if seq[j : j + length] == needle:
-            return True
-    return False
 
 
 _FLAT_MAX_SIGMA = 16

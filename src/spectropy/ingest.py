@@ -4,12 +4,14 @@ The CSV contract: the first non-comment line lists band center
 frequencies in MHz, every following line is one time slot of PSD values
 in dBm with the same field count, ``#`` lines and blank lines are
 skipped, decimal point is ``.``, LF, CRLF and a bare CR each end a line,
-and the file is UTF-8 text.  Plain ASCII is read by numpy's parser from
-one universal-newline text stream over the open file, so a load holds
-the matrix plus one read buffer; anything else (or anything numpy
+and the file is UTF-8 text, with or without a leading byte-order mark.
+Plain ASCII is read by numpy's parser; anything else (or anything numpy
 rejects, such as a comment or whitespace-only line among the rows) is
-read by the line reader, with the same errors.  Block averaging in
-linear power converts one bounded stretch of blocks to mW at a time.
+read by the line reader, with the same errors.  Both read one
+universal-newline text stream over the file and hold the matrix plus
+one read buffer: the line reader puts every value into one flat buffer
+that becomes the matrix without a copy.  Block averaging in linear
+power converts one bounded stretch of blocks to mW at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +75,7 @@ class DutyCycleReport:
 
 # numpy's float parser agrees with float() on these bytes, and the text stream turns every CR into a line end
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c\r"
+_ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as errors="surrogateescape" decodes it
 _READ_BLOCK = 1 << 16  # bytes read at a time by the plain-bytes check
 _STRETCH = 1 << 16  # values block_average holds in mW at a time
 AVG_DOMAINS = ("linear", "db")  # what block_average's domain may be
@@ -95,13 +100,13 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
                     return SpectrumMatrix(bands=bands, rows=rows)
             except (StopIteration, ValueError, Warning):
                 pass
-        fh.seek(0)
-        raw = fh.read()
-    return _scan_matrix(raw, path, service_map)
+    return _scan_matrix(path, service_map)
 
 
 def _content_lines(lines):
     for lineno, line in enumerate(lines, start=1):
+        if not line.isascii() and (bad := _ESCAPED.search(line)):
+            raise ParseError(lineno, f"not UTF-8 text (byte {ord(bad[0]) - 0xDC00:#04x} at character {bad.end()})")
         if line.strip() and not line.lstrip().startswith("#"):
             yield lineno, line
 
@@ -121,40 +126,34 @@ def parse_header(line: str, lineno: int, service_map=None) -> tuple[BandMetadata
     return tuple(bands)
 
 
-def _scan_matrix(raw: bytes, path, service_map=None) -> SpectrumMatrix:
+def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
     """Parse the file line by line, raising every load error with its line number."""
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start]  # lines end at LF, CRLF and a bare CR, as in the loop below
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(line, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     bands: tuple[BandMetadata, ...] | None = None
-    data: list[list[float]] = []
-    # universal newlines, as a text-mode open() gives: CRLF and a bare CR end a line too
-    for lineno, line in _content_lines(text.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
-        if bands is None:
-            bands = parse_header(line, lineno, service_map)
-            continue
-        fields = line.split(",")
-        if len(fields) != len(bands):
-            raise RaggedRowError(lineno, len(bands), len(fields))
-        row = []
-        for col, tok in enumerate(fields, start=1):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ParseError(lineno, f"bad value {tok!r} in column {col}") from None
-            if not math.isfinite(v):
-                raise NonFiniteValueError(lineno, col)
-            row.append(v)
-        data.append(row)
+    data = array("d")
+    # universal newlines end a line at LF, CRLF and a bare CR; a leading BOM is dropped
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:
+        for lineno, line in _content_lines(lines):
+            line = line.rstrip("\n")
+            if bands is None:
+                bands = parse_header(line, lineno, service_map)
+                continue
+            fields = line.split(",")
+            if len(fields) != len(bands):
+                raise RaggedRowError(lineno, len(bands), len(fields))
+            for col, tok in enumerate(fields, start=1):
+                try:
+                    v = float(tok)
+                except ValueError:
+                    raise ParseError(lineno, f"bad value {tok!r} in column {col}") from None
+                if not math.isfinite(v):
+                    raise NonFiniteValueError(lineno, col)
+                data.append(v)
 
     if bands is None:
         raise EmptyTraceError(f"{path}: file has no header line")
     if not data:
         raise EmptyTraceError(f"{path}: file has no data rows")
-    return SpectrumMatrix(bands=bands, rows=np.asarray(data, dtype=np.float64))
+    return SpectrumMatrix(bands=bands, rows=np.frombuffer(data).reshape(-1, len(bands)))
 
 
 def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") -> SpectrumMatrix:

@@ -75,6 +75,15 @@ class TestDutyCycleCommand:
         assert "Parse: line 2: frequency '1e303' must be positive and finite in Hz" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("flag", [["--threshold", "nan"], ["--threshold", "inf"], ["--threshold", "1e999"],
+                                      ["--threshold=-inf"], ["--threshold", "north"]],
+                             ids=["nan", "inf", "overflow", "minus-inf", "word"])
+    def test_non_finite_threshold_exit_3(self, small_csv, tmp_path, capsys, flag):
+        out = tmp_path / "dc.csv"
+        assert run_cli("duty-cycle", small_csv, *flag, "--output", out) == 3
+        assert "argument --threshold: must be a finite number" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_before_average_flag(self, tmp_path):
         # one loud sample then quiet: averaging smears it below threshold
         path = write_text(tmp_path / "t.csv", "614.1\n-90\n-140\n-140\n-140\n")

@@ -165,8 +165,8 @@ class TestLzParseFastDifferential:
     @pytest.mark.parametrize("sigma", [16, 17, 255, 256, 300])
     def test_alphabets_either_side_of_the_flat_table_limit(self, sigma):
         # Small alphabets index a flat transition list and large ones a
-        # dict; 300 symbols also take lz_parse off its bytes path.  Every
-        # symbol occurs, and repeated blocks make the automaton clone.
+        # dict.  Every symbol occurs, and repeated blocks make the
+        # automaton clone.
         rng = np.random.default_rng(sigma)
         block = rng.integers(0, sigma, 40).tolist()
         seq = rng.permutation(sigma).tolist() + block + rng.integers(0, sigma, 300).tolist() + block * 3

@@ -96,12 +96,25 @@ class TestLoadMatrix:
         m = load_matrix(path, service_map={"TV": (614.0, 698.0), "ISM": (2400.1, 2483.3)})
         assert [b.service for b in m.bands] == ["TV", "ISM"]
 
-    def test_non_utf8_line_counts_bare_cr(self, tmp_path):
+    @pytest.mark.parametrize("raw, line", [
+        (b"614.1\r-100\r\r\n\xff\n", 4),
+        (b"614.1\n-100\n# dwell 5 \xb5s\n-101\n", 3),
+        (b"614.1\n-100\n-1\xff2\n-101\n", 3),
+    ], ids=["bare-cr", "comment", "data"])
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, raw, line):
         path = tmp_path / "t.csv"
-        path.write_bytes(b"614.1\r-100\r\r\n\xff\n")
+        path.write_bytes(raw)
         with pytest.raises(ParseError) as err:
             load_matrix(path)
-        assert err.value.line == 4
+        assert err.value.line == line
+        assert str(err.value).startswith(f"line {line}: not UTF-8 text")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "614.1,614.3\n-100,-101\n-102.5,-103\n"
+        plain = load_matrix(write_text(tmp_path / "plain.csv", text))
+        marked = load_matrix(write_text(tmp_path / "bom.csv", "\ufeff" + text))
+        assert marked.bands == plain.bands
+        assert np.array_equal(marked.rows, plain.rows)
 
 
 PLAIN_VALUES = st.floats(-150, -40).map("{:.10g}".format) | st.integers(-150, 0).map(str)
@@ -156,6 +169,19 @@ def load_outcome(load):
     return m.bands, m.rows.shape, m.rows.tobytes()
 
 
+def write_campaign(path, rng, line_end, head="", gap=""):
+    """The shape and number format of the benchmark's long-campaign trace: 16 bands x 50,000 slots in %.10g,
+    with ``head`` before the header and a ``gap`` line, if any, after row 1000."""
+    rows = rng.normal(-100.0, 5.0, size=(50_000, 16))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(head + ",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + line_end)
+        np.savetxt(fh, rows[:1000], fmt="%.10g", delimiter=",", newline=line_end)
+        if gap:
+            fh.write(gap + line_end)
+        np.savetxt(fh, rows[1000:], fmt="%.10g", delimiter=",", newline=line_end)
+    return path
+
+
 class TestNumpyReader:
     @settings(max_examples=300, deadline=None)
     @given(text=trace_files())
@@ -171,16 +197,11 @@ class TestNumpyReader:
             path = Path(tmp) / "t.csv"
             path.write_bytes(text.encode("utf-8"))
             fast = load_outcome(lambda: load_matrix(path))
-            assert fast == load_outcome(lambda: _scan_matrix(path.read_bytes(), path))
+            assert fast == load_outcome(lambda: _scan_matrix(path))
 
     @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "bare-cr"])
     def test_long_campaign_memory_bound(self, tmp_path, rng, monkeypatch, line_end):
-        # the shape and number format of the benchmark's long-campaign trace: 16 bands x 50,000 slots in %.10g
-        rows = rng.normal(-100.0, 5.0, size=(50_000, 16))
-        path = tmp_path / "campaign.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + line_end)
-            np.savetxt(fh, rows, fmt="%.10g", delimiter=",", newline=line_end)
+        path = write_campaign(tmp_path / "campaign.csv", rng, line_end)
         scanned = []
         monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
         tracemalloc.start()
@@ -191,7 +212,24 @@ class TestNumpyReader:
             tracemalloc.stop()
         assert not scanned
         assert peak < 1.5 * m.rows.nbytes
-        assert np.array_equal(m.rows, _scan_matrix(path.read_bytes(), path).rows)
+        assert np.array_equal(m.rows, _scan_matrix(path).rows)
+
+    @pytest.mark.parametrize("head, gap", [("", "# gap"), ("", "# dwell 5 \u00b5s"), ("\ufeff", "")],
+                             ids=["comment", "non-ascii-comment", "bom"])
+    def test_line_reader_memory_bound(self, tmp_path, rng, monkeypatch, head, gap):
+        # files numpy's path declines are read once, into one flat buffer of values
+        path = write_campaign(tmp_path / "campaign.csv", rng, "\n", head, gap)
+        scanned = []
+        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        tracemalloc.start()
+        try:
+            m = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scanned
+        assert m.rows.shape == (50_000, 16)
+        assert peak < 1.5 * m.rows.nbytes
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
     def test_line_end_across_text_chunks(self, tmp_path, monkeypatch, line_end):
