@@ -125,7 +125,7 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+    return value + 0.0  # -0.0 (from "-0" or an underflow like -1e-400) names its column 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,16 +136,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_duty_cycle(args) -> int:
+    thresholds = args.threshold if args.threshold else [-107.0, -114.0]
+    named: dict[str, float] = {}
+    for t in thresholds:
+        column = f"duty_cycle_{_fmt(t)}"
+        if column in named:
+            raise ConfigError(f"thresholds {named[column]!r} and {t!r} both name the column {column}")
+        named[column] = t
     service_map = load_service_map(args.service_map) if args.service_map else None
     matrix = load_matrix(args.input, service_map=service_map)
-    thresholds = args.threshold if args.threshold else [-107.0, -114.0]
     stage_matrix = matrix
     if args.block > 1 and not args.before_average:
         stage_matrix = block_average(matrix, args.block, domain=args.avg_domain)
     reports = [duty_cycle(stage_matrix, t) for t in thresholds]
 
     order = sorted(range(len(matrix.bands)), key=lambda i: matrix.bands[i].center_freq_hz)
-    lines = ["freq_mhz," + ",".join(f"duty_cycle_{_fmt(t)}" for t in thresholds)]
+    lines = ["freq_mhz," + ",".join(named)]
     bands_json = []
     for i in order:
         band = stage_matrix.bands[i]

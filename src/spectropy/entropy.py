@@ -5,10 +5,17 @@ match-length estimator (``lz_parse``, ``lz_parse_fast``,
 ``lz_entropy_estimate``) captures it.  ``lz_parse`` is the deliberately
 naive quadratic reference and ``lz_parse_fast`` must return bit-identical
 output, so the whole correctness burden sits on the simple code and the
-fast path is validated purely by differential testing.  ``lz_parse_fast``
-is a suffix automaton on integer states and flat lists, with a dict in
-place of the flat table for large alphabets; it takes O(n) amortised
-steps on every input and O(n) memory on every alphabet.
+fast path is validated purely by differential testing.
+
+``lz_parse_fast`` has two stages.  Class refinement settles the match
+lengths of noisy bands in a few rounds of numpy work.  Bands whose
+symbol entropy is too low for it to pay (constant, idle, beacon), and
+bands on which it overruns its round cap or its work budget of a fixed
+multiple of n (long periodic stretches), go to a suffix automaton on
+integer states and flat lists, with a dict in place of the flat table
+for large alphabets.  Both stages are O(n) in time and memory on every
+input and alphabet, apart from a sort of the labels when refinement
+meets a wide alphabet.
 """
 
 from __future__ import annotations
@@ -89,33 +96,114 @@ def lz_parse(levels) -> LzParse:
 
 
 _FLAT_MAX_SIGMA = 16
+# Class refinement hands a band to the automaton past this many rounds,
+# or once its working sets sum to more than _REFINE_WORK * n positions.
+_REFINE_MAX_ROUNDS = 24
+_REFINE_WORK = 16
+_TABLE_PER_POSITION = 4
 
 
 def lz_parse_fast(levels) -> LzParse:
-    """Match-length parse via an online suffix automaton on integer states.
+    """Match-length parse in two stages, bit-identical to ``lz_parse``.
 
-    Bit-identical to ``lz_parse`` for every input.  At position i the
-    automaton indexes exactly the factors of the strict past, so the
-    longest past match is a walk along the suffix; afterwards the
-    automaton is extended by one symbol.  The match is carried across
-    positions, as in matching statistics: lambda_{i+1} >= lambda_i - 1,
-    so the walk resumes where it stopped once one suffix link has dropped
-    the match's first symbol, and every input costs O(n) amortised steps.
-
-    States index the lists ``link`` and ``max_len``.  With the input
-    relabelled to 0..sigma-1, the edge of state s on symbol c is
-    ``nxt[s * sigma + c]``, 0 when absent, since no edge enters the root.
-    Up to ``_FLAT_MAX_SIGMA`` symbols ``nxt`` is a flat list of
-    (2n + 1) * sigma slots and a clone copies one sigma-slice.  Past that
-    the list would need more memory than a dict of the edges, so ``nxt``
-    is a dict and ``symbols`` lists each state's edges for its clones.
+    The first stage, ``_refine``, settles every lambda in numpy rounds,
+    one symbol of match length per round.  It is skipped when log2(n)
+    over the symbol entropy H1 exceeds half of ``_REFINE_MAX_ROUNDS``,
+    as on constant, idle and beacon bands, whose matches run long; it
+    gives up after ``_REFINE_MAX_ROUNDS`` rounds, or once its working
+    sets sum to more than ``_REFINE_WORK * n`` positions, as on periodic
+    stretches.  Then the second stage, the suffix automaton
+    ``_automaton``, parses the whole band.  Each stage does O(n) work and
+    holds O(n) memory on every input and alphabet, so the parse does too
+    (refinement sorts its labels, O(n log n), only on wide alphabets).
     """
     seq = _symbol_ids(levels)
     n = len(seq)
     if n == 0:
         raise EmptySequenceError("cannot parse an empty sequence")
 
-    sigma = max(seq) + 1
+    arr = np.fromiter(seq, dtype=np.int64, count=n)
+    counts = np.bincount(arr).tolist()
+    h1 = math.log2(n) - sum(c * math.log2(c) for c in counts) / n  # bits per symbol
+    if h1 * _REFINE_MAX_ROUNDS > 2 * math.log2(n):
+        lambdas = _refine(arr, len(counts), _REFINE_MAX_ROUNDS, _REFINE_WORK * n)
+        if lambdas is not None:
+            return LzParse(tuple(lambdas.tolist()))
+    return LzParse(tuple(_automaton(seq, len(counts))))
+
+
+def _refine(arr: np.ndarray, sigma: int, max_rounds: int, budget: int) -> np.ndarray | None:
+    """Match lengths of ``arr`` (symbols 0..sigma-1) by class refinement,
+    or None past ``max_rounds`` rounds or ``budget`` positions of work.
+
+    This is Karp, Miller & Rosenberg's renaming, one symbol per round,
+    applied to the longest previous non-overlapping factor (Crochemore &
+    Tischler, IPL 111, 2011).  Round l labels the length-l factor at each
+    working position.  Position i has a past match of length l iff the
+    first position f with its label has f + l <= i.  A position whose
+    match fails settles at lambda = l, and one whose factor reaches the
+    end settles at n - i + 1.  A label keeps all its positions in the
+    working set while some position passed with it, since only a passing
+    position needs a witness in the next round; every other position
+    leaves.  Labels index a dense table of first positions while
+    (label, symbol) pairs number at most ``_TABLE_PER_POSITION`` per
+    working position; past that, ``np.unique`` relabels the pairs.
+    """
+    n = len(arr)
+    lambdas = np.empty(n, dtype=np.int64)
+    pos = np.arange(n)
+    key = arr
+    nkeys = sigma
+    alive = np.ones(n, dtype=bool)  # matched its first l - 1 symbols
+    work = 0
+    for length in range(1, max_rounds + 1):
+        work += len(pos)
+        if work > budget:
+            return None
+        first = np.full(nkeys, n)
+        np.minimum.at(first, key, pos)
+        passed = first[key] + length <= pos
+        lambdas[pos[alive & ~passed]] = length
+        passed &= alive
+        if not passed.any():
+            return lambdas
+        kept = np.zeros(nkeys, dtype=bool)
+        kept[key[passed]] = True
+        keep = kept[key]
+        labels = np.cumsum(kept) - 1
+        pos, alive, key = pos[keep], passed[keep], labels[key[keep]]
+        if pos[-1] + length == n:  # the last position's factor cannot grow
+            if alive[-1]:
+                lambdas[pos[-1]] = length + 1
+            pos, alive, key = pos[:-1], alive[:-1], key[:-1]
+        key = key * sigma + arr[pos + length]
+        nkeys = (int(labels[-1]) + 1) * sigma
+        if nkeys > _TABLE_PER_POSITION * len(pos):
+            pairs, key = np.unique(key, return_inverse=True)
+            nkeys = len(pairs)
+    return None
+
+
+def _automaton(seq: list[int], sigma: int) -> list[int]:
+    """Match lengths of ``seq`` (symbols 0..sigma-1) via an online suffix
+    automaton on integer states.
+
+    At position i the automaton indexes exactly the factors of the strict
+    past, so the longest past match is a walk along the suffix;
+    afterwards the automaton is extended by one symbol.  The match is
+    carried across positions, as in matching statistics:
+    lambda_{i+1} >= lambda_i - 1, so the walk resumes where it stopped
+    once one suffix link has dropped the match's first symbol, and every
+    input costs O(n) amortised steps.
+
+    States index the lists ``link`` and ``max_len``, and the edge of
+    state s on symbol c is ``nxt[s * sigma + c]``, 0 when absent, since
+    no edge enters the root.  Up to ``_FLAT_MAX_SIGMA`` symbols ``nxt`` is a flat list of
+    (2n + 1) * sigma slots and a clone copies one sigma-slice.  Past that
+    the list would need more memory than a dict of the edges, so ``nxt``
+    is a dict and ``symbols`` lists each state's edges for its clones.
+    """
+    n = len(seq)
     flat = sigma <= _FLAT_MAX_SIGMA
     nxt = [0] * ((2 * n + 1) * sigma) if flat else defaultdict(int)
     symbols = defaultdict(list)
@@ -172,7 +260,7 @@ def lz_parse_fast(levels) -> LzParse:
             length -= 1
             if length <= max_len[link[node]]:
                 node = link[node]
-    return LzParse(tuple(lambdas))
+    return lambdas
 
 
 def random_entropy(q: int) -> float:

@@ -84,6 +84,27 @@ class TestDutyCycleCommand:
         assert "argument --threshold: must be a finite number" in capsys.readouterr().err
         assert not out.exists() and not out.with_suffix(".json").exists()
 
+    @pytest.mark.parametrize(
+        "second, shown",
+        [("-107", "-107.0"), ("-107.00000000001", "-107.00000000001")],
+        ids=["repeated", "same-10-digits"],
+    )
+    def test_thresholds_naming_one_column_exit_3(self, small_csv, tmp_path, capsys, second, shown):
+        out = tmp_path / "dc.csv"
+        assert run_cli("duty-cycle", small_csv, "--threshold", "-107", "--threshold", second, "--output", out) == 3
+        err = capsys.readouterr().err
+        assert f"thresholds -107.0 and {shown} both name the column duty_cycle_-107" in err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    @pytest.mark.parametrize("flag", [["--threshold=-1e-400"], ["--threshold=-0"]], ids=["underflow", "minus-zero"])
+    def test_zero_threshold_names_column_0(self, small_csv, tmp_path, flag):
+        out = tmp_path / "dc.csv"
+        assert run_cli("duty-cycle", small_csv, *flag, "--output", out) == 0
+        header, _ = read_csv_rows(out)
+        assert header == ["freq_mhz", "duty_cycle_0"]
+        assert json.loads(out.with_suffix(".json").read_text())["thresholds"] == [0.0]
+        assert "-0" not in out.with_suffix(".json").read_text()
+
     def test_before_average_flag(self, tmp_path):
         # one loud sample then quiet: averaging smears it below threshold
         path = write_text(tmp_path / "t.csv", "614.1\n-90\n-140\n-140\n-140\n")

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spectropy.entropy as entropy_module
 from spectropy import (
     BlockTooLongError,
     EmptySequenceError,
     LevelDistribution,
+    PsdTrace,
+    QuantizationConfig,
     SequenceTooShortError,
     block_entropy_rate,
     entropy_report,
@@ -23,10 +26,13 @@ from spectropy import (
     lz_entropy_estimate,
     lz_parse,
     lz_parse_fast,
+    quantize,
     random_entropy,
     shannon_entropy,
 )
+from tests.conftest import HOUSE_SEED
 from tests.test_quantize import _qt
+from tests.test_trace import make_band
 
 
 def tiny_reference_lambdas(seq):
@@ -225,6 +231,155 @@ class TestLzParseFastWorstCase:
         expected = np.minimum(n - np.arange(n), np.arange(n) - np.arange(n) % period) + 1
         assert np.array_equal(lams, expected)
         assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s for n={n}, period {period}"
+
+
+def refine_uncapped(seq):
+    """The class-refinement stage alone, with its round cap and work
+    budget lifted so that it never hands over to the automaton."""
+    n = len(seq)
+    lams = entropy_module._refine(np.array(seq, dtype=np.int64), max(seq) + 1, n + 1, n * (n + 1))
+    return tuple(lams.tolist())
+
+
+def refine_cost(seq):
+    """(rounds, work): the least round cap and the least work budget
+    under which class refinement finishes on ``seq``."""
+    arr, sigma, n = np.array(seq, dtype=np.int64), max(seq) + 1, len(seq)
+
+    def least(finishes, hi):
+        lo = 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if finishes(mid) else (mid + 1, hi)
+        return lo
+
+    rounds = least(lambda r: entropy_module._refine(arr, sigma, r, n * (n + 1)) is not None, n + 1)
+    work = least(lambda b: entropy_module._refine(arr, sigma, n + 1, b) is not None, n * (n + 1))
+    return rounds, work
+
+
+def ones_at_random(n, k):
+    seq = np.zeros(n, dtype=np.int64)
+    seq[np.random.default_rng(HOUSE_SEED).permutation(n)[:k]] = 1
+    return seq.tolist()
+
+
+def noise_with_repeat(length, n=2000):
+    """i.i.d. uniform over 8 levels, with a copy of an early stretch of
+    ``length`` symbols planted 500 symbols before the end."""
+    seq = np.random.default_rng(HOUSE_SEED).integers(0, 8, n)
+    seq[n - 500 : n - 500 + length] = seq[200 : 200 + length]
+    return seq.tolist()
+
+
+def quantized_band(samples, q=8):
+    return quantize(PsdTrace(make_band(), samples), QuantizationConfig(q=q)).levels
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Records which parse stages lz_parse_fast runs, in order."""
+    calls = []
+    for name in ("_refine", "_automaton"):
+        stage = getattr(entropy_module, name)
+
+        def spy(*args, _name=name, _stage=stage):
+            calls.append(_name)
+            return _stage(*args)
+
+        monkeypatch.setattr(entropy_module, name, spy)
+    return calls
+
+
+class TestLzParseFastRefinement:
+    """lz_parse_fast settles match lengths by class refinement and hands
+    low-entropy bands to the automaton: before any round when log2(n)
+    over the symbol entropy exceeds 12, or once refinement passes 24
+    rounds or 16 n positions of work."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=300))
+    @example([0] * 50)
+    @example([0, 1, 2, 3] * 30)
+    @example([1, 0, 0, 1, 0, 0, 1, 0, 1])
+    def test_refinement_alone_agrees_with_reference(self, seq):
+        assert refine_uncapped(seq) == lz_parse(seq).lambdas
+
+    @settings(max_examples=300, deadline=None)
+    @given(low_entropy_sequences)
+    def test_refinement_alone_agrees_with_reference_on_low_entropy_input(self, seq):
+        assert refine_uncapped(seq) == lz_parse(seq).lambdas
+
+    @pytest.mark.parametrize("seq", [pytest.param(seq, id=name) for name, seq in adversarial_sequences()])
+    def test_refinement_alone_agrees_with_reference_on_adversarial_input(self, seq):
+        assert refine_uncapped(seq) == lz_parse(seq).lambdas
+
+    @pytest.mark.parametrize(
+        "seq, expected",
+        [
+            pytest.param(ones_at_random(1024, 270), ["_automaton"], id="pre-check-H1-0.8322"),
+            pytest.param(ones_at_random(1024, 271), ["_refine", "_automaton"], id="pre-check-H1-0.8337"),
+            pytest.param(noise_with_repeat(23), ["_refine"], id="24-rounds"),
+            pytest.param(noise_with_repeat(24), ["_refine", "_automaton"], id="25-rounds"),
+            pytest.param([k % 4 for k in range(42)], ["_refine"], id="work-16n-minus-5"),
+            pytest.param([k % 4 for k in range(43)], ["_refine", "_automaton"], id="work-16n-plus-5"),
+        ],
+    )
+    def test_cases_either_side_of_each_limit_agree_with_reference(self, stages, seq, expected):
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+        assert stages == expected
+
+    def test_limit_cases_sit_where_their_names_say(self):
+        # The pre-check refines iff H1 * 24 > 2 log2(n) = 20 bits at n = 1024.
+        for k, h1 in ((270, 0.8322), (271, 0.8337)):
+            p = k / 1024
+            assert -(p * math.log2(p) + (1 - p) * math.log2(1 - p)) == pytest.approx(h1, abs=1e-4)
+        assert refine_cost(noise_with_repeat(23))[0] == 24
+        assert refine_cost(noise_with_repeat(24))[0] == 25
+        assert refine_cost([k % 4 for k in range(42)]) == (21, 16 * 42 - 5)
+        assert refine_cost([k % 4 for k in range(43)]) == (21, 16 * 43 + 5)
+
+    def test_noise_floor_band_needs_no_automaton(self, monkeypatch):
+        # A week of 180 s slots of N(-100, 5) dBm at q = 8, the paper's
+        # baseline band: refinement must finish on its own, or the
+        # speed-up is gone.
+        levels = quantized_band(np.random.default_rng(HOUSE_SEED).normal(-100.0, 5.0, 3360))
+
+        def no_automaton(*args):
+            raise AssertionError("the noise-floor band fell back to the automaton")
+
+        monkeypatch.setattr(entropy_module, "_automaton", no_automaton)
+        assert lz_parse_fast(levels).lambdas == lz_parse(levels).lambdas
+
+    @pytest.mark.parametrize("shape", ["constant", "idle-with-spike", "beacon-period-12"])
+    def test_low_entropy_bands_go_straight_to_the_automaton(self, stages, shape):
+        n = 3360
+        rng = np.random.default_rng(HOUSE_SEED)
+        samples = np.full(n, -110.0) if shape == "constant" else rng.normal(-110.0, 0.5, n)
+        if shape == "idle-with-spike":
+            samples[n // 3] = -60.0
+        elif shape == "beacon-period-12":
+            samples[np.arange(n) % 12 < 2] = -70.0
+        lz_parse_fast(quantized_band(samples))
+        assert stages == ["_automaton"]
+
+    def test_wide_alphabet_refines_in_bounded_memory(self, monkeypatch):
+        # 4,000 symbols, 5 of each: a dense table of (label, symbol) pairs
+        # would have about 4,000 x 4,000 slots, 128 MB of int64.
+        seq = np.random.default_rng(HOUSE_SEED).permutation(np.repeat(np.arange(4000), 5)).tolist()
+
+        def no_automaton(*args):
+            raise AssertionError("the wide-alphabet input fell back to the automaton")
+
+        monkeypatch.setattr(entropy_module, "_automaton", no_automaton)
+        tracemalloc.start()
+        try:
+            lams = lz_parse_fast(seq).lambdas
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.0f} MB"
+        assert lams == lz_parse(seq).lambdas
 
 
 @settings(max_examples=150, deadline=None)
