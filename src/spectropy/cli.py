@@ -51,7 +51,6 @@ from .ingest import (
 from .pipeline import analyze_matrix
 from .quantize import MAX_Q, QuantizationConfig, Strategy
 from .synth import (
-    MarkovSpec,
     gen_gaussian_psd,
     gen_iid_uniform,
     gen_markov,
@@ -91,22 +90,26 @@ def _atomic_write(files: dict[Path, Iterable[str]]) -> None:
         raise
 
 
-def _write_report(args, command: str, inputs, lines: list[str], body: dict, summary: str, **params) -> int:
-    """Write the CSV ``lines`` and a JSON report with the run manifest and ``body``."""
-    manifest = {
-        "command": command,
-        "inputs": inputs,
+def _write_report(output: Path, record: dict, lines: list[str], body: dict, summary: str) -> int:
+    """Write the CSV ``lines`` and a JSON report of ``body`` whose manifest is the command's parameter
+    ``record`` less its None values, with the tool version and time after ``command`` and ``inputs``."""
+    stamped = {
+        "command": record["command"],
+        "inputs": record["inputs"],
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        **params,
-        "service_map": args.service_map or None,
+        **record,
     }
-    report = {"schema": SCHEMA, "manifest": {k: v for k, v in manifest.items() if v is not None}, **body}
-    json_path = args.output.with_suffix(".json")
+    report = {"schema": SCHEMA, "manifest": {k: v for k, v in stamped.items() if v is not None}, **body}
+    json_path = output.with_suffix(".json")
     # the CSV goes last: a failure before its rename keeps the old pair
-    _atomic_write({json_path: [json.dumps(report, indent=2), "\n"], args.output: ["\n".join(lines), "\n"]})
-    print(f"wrote {args.output} and {json_path} ({summary})")
+    _atomic_write({json_path: [json.dumps(report, indent=2), "\n"], output: ["\n".join(lines), "\n"]})
+    print(f"wrote {output} and {json_path} ({summary})")
     return 0
+
+
+def _service_map(record: dict):
+    return load_service_map(record["service_map"]) if record["service_map"] else None
 
 
 def _report_path(text: str) -> Path:
@@ -143,36 +146,38 @@ def cmd_duty_cycle(args) -> int:
         if column in named:
             raise ConfigError(f"thresholds {named[column]!r} and {t!r} both name the column {column}")
         named[column] = t
-    service_map = load_service_map(args.service_map) if args.service_map else None
-    matrix = load_matrix(args.input, service_map=service_map)
-    stage_matrix = matrix
-    if args.block > 1 and not args.before_average:
-        stage_matrix = block_average(matrix, args.block, domain=args.avg_domain)
+    record = {
+        "command": "duty-cycle", "inputs": [args.input], "block": args.block, "avg_domain": args.avg_domain,
+        "thresholds": thresholds, "dc_before_average": args.before_average, "service_map": args.service_map or None,
+    }
+    matrix = load_matrix(args.input, service_map=_service_map(record))
+    # block 1 gives back the matrix itself, and a block below 1 is rejected
+    stage_matrix = matrix if args.before_average else block_average(matrix, args.block, domain=args.avg_domain)
     reports = [duty_cycle(stage_matrix, t) for t in thresholds]
 
-    order = sorted(range(len(matrix.bands)), key=lambda i: matrix.bands[i].center_freq_hz)
+    bands = sorted(enumerate(matrix.bands), key=lambda ib: ib[1].center_freq_hz)
+    bands_json = [
+        {"freq_mhz": band.center_freq_mhz, "label": band.label, "service": band.service,
+         "duty_cycles": [rep.per_band[i][1] for rep in reports]}
+        for i, band in bands
+    ]
     lines = ["freq_mhz," + ",".join(named)]
-    bands_json = []
-    for i in order:
-        band = stage_matrix.bands[i]
-        dcs = [rep.per_band[i][1] for rep in reports]
-        lines.append(",".join([_fmt(band.center_freq_mhz)] + [_fmt(v) for v in dcs]))
-        bands_json.append(
-            {
-                "freq_mhz": band.center_freq_mhz,
-                "label": band.label,
-                "service": band.service,
-                "duty_cycles": dcs,
-            }
-        )
-    return _write_report(
-        args, "duty-cycle", [args.input], lines, {"thresholds": thresholds, "bands": bands_json},
-        f"{len(order)} bands", block=args.block, avg_domain=args.avg_domain,
-        thresholds=thresholds, dc_before_average=args.before_average,
-    )
+    lines += [",".join(map(_fmt, [b["freq_mhz"], *b["duty_cycles"]])) for b in bands_json]
+    body = {"thresholds": thresholds, "bands": bands_json}
+    return _write_report(args.output, record, lines, body, f"{len(bands_json)} bands")
 
 
-def _analyze_params_from_manifest(path) -> dict:
+ANALYZE_COLUMNS = ("freq_mhz", "e_rand", "e_unc", "e_actual", "pi_max", "clamped", "n")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _analyze_record_from_manifest(path) -> dict:
+    """The parameter record an analyze report was written with, checked before any file is opened."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -182,24 +187,28 @@ def _analyze_params_from_manifest(path) -> dict:
     try:
         if manifest["command"] != "analyze":
             raise ParseError(1, f"{path}: manifest is for {manifest['command']!r}, not analyze")
-        params = {
-            "input": os.fspath(manifest["inputs"][0]),
+        record = {
+            "command": "analyze",
+            "inputs": [os.fspath(manifest["inputs"][0])],
             "q": int(manifest["q"]),
             "strategy": Strategy(manifest["strategy"]).value,
             "block": int(manifest["block"]),
             "avg_domain": manifest["avg_domain"],
             "jobs": int(manifest.get("jobs", 1)),
+            "service_map": manifest.get("service_map"),
         }
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(1, f"{path}: not a usable analyze manifest ({exc})") from None
-    if not 1 <= params["q"] <= MAX_Q:
-        problem = f"q {params['q']} outside [1, {MAX_Q}]"
-    elif params["avg_domain"] not in AVG_DOMAINS:
-        problem = f"avg_domain {params['avg_domain']!r} is not one of {AVG_DOMAINS}"
-    elif min(params["block"], params["jobs"]) < 1:
-        problem = f"block {params['block']} or jobs {params['jobs']} below 1"
+    if not 1 <= record["q"] <= MAX_Q:
+        problem = f"q {record['q']} outside [1, {MAX_Q}]"
+    elif record["avg_domain"] not in AVG_DOMAINS:
+        problem = f"avg_domain {record['avg_domain']!r} is not one of {AVG_DOMAINS}"
+    elif min(record["block"], record["jobs"]) < 1:
+        problem = f"block {record['block']} or jobs {record['jobs']} below 1"
+    elif not isinstance(record["service_map"], (str, type(None))):  # open(0) would read stdin
+        problem = f"service_map {record['service_map']!r} is not a path"
     else:
-        return params
+        return record
     raise ParseError(1, f"{path}: not a usable analyze manifest ({problem})")
 
 
@@ -207,64 +216,37 @@ def cmd_analyze(args) -> int:
     if args.from_manifest:
         if args.input is not None:
             raise ConfigError("give either an input file or --from-manifest, not both")
-        params = _analyze_params_from_manifest(args.from_manifest)
+        record = _analyze_record_from_manifest(args.from_manifest)
+        record["service_map"] = args.service_map or record["service_map"]
+    elif args.input is None:
+        raise ConfigError("an input file is required (or use --from-manifest)")
     else:
-        if args.input is None:
-            raise ConfigError("an input file is required (or use --from-manifest)")
-        params = {
-            "input": args.input,
-            "q": args.q,
-            "strategy": args.strategy,
-            "block": args.block,
-            "avg_domain": args.avg_domain,
-            "jobs": args.jobs,
+        record = {
+            "command": "analyze", "inputs": [args.input], "q": args.q, "strategy": args.strategy,
+            "block": args.block, "avg_domain": args.avg_domain, "jobs": args.jobs,
+            "service_map": args.service_map or None,
         }
 
-    input_path = params.pop("input")
-    service_map = load_service_map(args.service_map) if args.service_map else None
-    matrix = load_matrix(input_path, service_map=service_map)
-    cfg = QuantizationConfig(q=params["q"], strategy=Strategy(params["strategy"]))
-    results = analyze_matrix(
-        matrix,
-        cfg,
-        block=params["block"],
-        avg_domain=params["avg_domain"],
-        jobs=params["jobs"],
-    )
-
-    lines = ["freq_mhz,e_rand,e_unc,e_actual,pi_max,clamped,n"]
-    bands_json = []
-    for r in results:
-        e, p = r.entropy, r.predictability
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.band.center_freq_mhz),
-                    _fmt(e.e_rand),
-                    _fmt(e.e_unc),
-                    _fmt(e.e_actual),
-                    _fmt(p.pi_max),
-                    "true" if p.clamped else "false",
-                    str(e.n),
-                ]
-            )
-        )
-        bands_json.append(
-            {
-                "freq_mhz": r.band.center_freq_mhz,
-                "label": r.band.label,
-                "service": r.band.service,
-                **dataclasses.asdict(e),
-                **dataclasses.asdict(p),
-            }
-        )
-    return _write_report(
-        args, "analyze", [input_path], lines, {"bands": bands_json}, f"{len(results)} bands", **params
-    )
+    matrix = load_matrix(record["inputs"][0], service_map=_service_map(record))
+    cfg = QuantizationConfig(q=record["q"], strategy=Strategy(record["strategy"]))
+    results = analyze_matrix(matrix, cfg, block=record["block"], avg_domain=record["avg_domain"], jobs=record["jobs"])
+    bands_json = [
+        {
+            "freq_mhz": r.band.center_freq_mhz,
+            "label": r.band.label,
+            "service": r.band.service,
+            **dataclasses.asdict(r.entropy),
+            **dataclasses.asdict(r.predictability),
+        }
+        for r in results
+    ]
+    lines = [",".join(ANALYZE_COLUMNS)] + [",".join(_csv_cell(b[c]) for c in ANALYZE_COLUMNS) for b in bands_json]
+    return _write_report(args.output, record, lines, {"bands": bands_json}, f"{len(results)} bands")
 
 
 def cmd_cdf(args) -> int:
-    service_map = load_service_map(args.service_map) if args.service_map else None
+    record = {"command": "cdf", "inputs": args.inputs, "service_map": args.service_map or None}
+    service_map = _service_map(record)
     groups: dict[str, list[PredictabilityReport]] = {}
     for path in args.inputs:
         try:
@@ -300,7 +282,7 @@ def cmd_cdf(args) -> int:
         for pi, frac in cdf.points:
             lines.append(f"{name},{_fmt(pi)},{_fmt(frac)}")
         services_json[name] = {"q": cdf.q, "points": [[pi, frac] for pi, frac in cdf.points]}
-    return _write_report(args, "cdf", args.inputs, lines, {"services": services_json}, f"{len(cdfs)} services")
+    return _write_report(args.output, record, lines, {"services": services_json}, f"{len(cdfs)} services")
 
 
 def _parse_pattern(text: str) -> tuple[int, ...]:
@@ -321,24 +303,21 @@ def cmd_synth(args) -> int:
         parse_header(",".join(header), 1)
     except ParseError as exc:  # load_matrix would reject the file
         raise ConfigError(f"band {exc.reason}") from None
-    n = args.n
-    columns: list[tuple] = []
-    for k in range(args.bands):
-        seed = args.seed + k
-        if args.model == "gaussian":
-            columns.append(gen_gaussian_psd(n, args.mean_dbm, args.sigma_db, seed).samples)
-        elif args.model == "iid":
-            columns.append(gen_iid_uniform(args.q, n, seed).levels)
-        elif args.model == "markov":
-            if not args.spec:
-                raise ConfigError("--spec is required for the markov model")
-            spec = markov_spec_from_json(args.spec)
-            spec = MarkovSpec(spec.transition, spec.initial, spec.seed + k)
-            columns.append(gen_markov(spec, n).levels)
-        else:
-            if not args.pattern:
-                raise ConfigError("--pattern is required for the periodic model")
-            columns.append(gen_periodic(_parse_pattern(args.pattern), args.repeats).levels)
+    if args.model == "markov":
+        if not args.spec:
+            raise ConfigError("--spec is required for the markov model")
+        spec = markov_spec_from_json(args.spec)
+        columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels for k in range(args.bands)]
+    elif args.model == "periodic":
+        if not args.pattern:
+            raise ConfigError("--pattern is required for the periodic model")
+        columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
+    elif args.model == "gaussian":
+        columns = [
+            gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples for k in range(args.bands)
+        ]
+    else:
+        columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
 
     # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
     row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"
@@ -357,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("input", help="PSD trace CSV")
     dc.add_argument("--threshold", type=_finite_float, action="append", metavar="DBM",
                     help="detection threshold in dBm, repeatable (default: -107 and -114)")
-    dc.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
+    dc.add_argument("--block", type=int, default=1,
+                    help="block-average factor (default 1); recorded but unused with --before-average")
     dc.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")
     dc.add_argument("--before-average", action="store_true",
                     help="compute duty cycle on raw samples instead of after block averaging")
@@ -375,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="worker processes for per-band analysis (at most one per band and CPU)")
     an.add_argument("--service-map", help="service-map JSON sidecar")
     an.add_argument("--from-manifest", metavar="REPORT_JSON",
-                    help="re-run with the parameters recorded in a previous analyze report")
+                    help="re-run with the parameters (service map included, unless --service-map is given)"
+                         " recorded in a previous analyze report")
     an.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     an.set_defaults(func=cmd_analyze)
 
@@ -387,15 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", help="write a synthetic PSD/level trace CSV")
     sy.add_argument("--model", choices=["gaussian", "iid", "markov", "periodic"], required=True)
-    sy.add_argument("--n", type=int, default=3360, help="samples per band (default 3360)")
-    sy.add_argument("--seed", type=int, default=0, help="base seed; band k uses seed+k")
+    sy.add_argument("--n", type=int, default=3360, help="samples per band (default 3360; not for periodic)")
+    sy.add_argument("--seed", type=int, default=0,
+                    help="base seed; band k uses seed+k (markov uses the spec's seed+k, periodic none)")
     sy.add_argument("--bands", type=int, default=1, help="number of bands (default 1)")
     sy.add_argument("--q", type=int, default=8, help="alphabet size for the iid model")
     sy.add_argument("--mean-dbm", type=float, default=-100.0)
     sy.add_argument("--sigma-db", type=float, default=5.0)
     sy.add_argument("--spec", help="MarkovSpec JSON (matrix, initial, seed)")
     sy.add_argument("--pattern", help="comma-separated levels for the periodic model")
-    sy.add_argument("--repeats", type=int, default=1)
+    sy.add_argument("--repeats", type=int, default=1, help="periodic length is pattern x repeats (default 1)")
     sy.add_argument("--start-mhz", type=float, default=614.1, help="first band center (default 614.1)")
     sy.add_argument("--step-mhz", type=float, default=0.2, help="band spacing (default 0.2)")
     sy.add_argument("--output", required=True, type=Path, help="output CSV path")

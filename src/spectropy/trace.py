@@ -69,7 +69,10 @@ class QuantizedTrace:
     q: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.levels, dtype=np.int64)
+        arr = np.asarray(self.levels)
+        if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+            raise ValueError("levels must be integers")
+        arr = arr.astype(np.int64, copy=False)
         object.__setattr__(self, "levels", tuple(arr.tolist()))
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")

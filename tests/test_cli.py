@@ -102,8 +102,9 @@ class TestDutyCycleCommand:
         assert run_cli("duty-cycle", small_csv, *flag, "--output", out) == 0
         header, _ = read_csv_rows(out)
         assert header == ["freq_mhz", "duty_cycle_0"]
-        assert json.loads(out.with_suffix(".json").read_text())["thresholds"] == [0.0]
-        assert "-0" not in out.with_suffix(".json").read_text()
+        doc = json.loads(out.with_suffix(".json").read_text())
+        # only the thresholds: the input path and the timestamp may hold "-0" themselves
+        assert json.dumps(doc["thresholds"]) == json.dumps(doc["manifest"]["thresholds"]) == "[0.0]"
 
     def test_before_average_flag(self, tmp_path):
         # one loud sample then quiet: averaging smears it below threshold
@@ -114,6 +115,12 @@ class TestDutyCycleCommand:
         run_cli("duty-cycle", path, "--threshold", "-107", "--block", "4", "--output", avg)
         assert read_csv_rows(raw)[1][0]["duty_cycle_-107"] == "0.25"
         assert read_csv_rows(avg)[1][0]["duty_cycle_-107"] == "1"
+
+    @pytest.mark.parametrize("block", ["0", "-3"])
+    def test_block_below_1_exit_3(self, small_csv, tmp_path, capsys, block):
+        assert run_cli("duty-cycle", small_csv, "--block", block, "--output", tmp_path / "dc.csv") == 3
+        assert f"block must be >= 1, got {block}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
 
 
 class TestAnalyzeCommand:
@@ -165,6 +172,58 @@ class TestAnalyzeCommand:
         assert out1.read_bytes() == out2.read_bytes()
         manifest = json.loads((tmp_path / "a2.json").read_text())["manifest"]
         assert manifest["q"] == 6 and manifest["strategy"] == "equal-frequency"
+
+    def test_from_manifest_reproduces_every_recorded_parameter(self, tmp_path):
+        trace = write_text(tmp_path / "t.csv", "614.1,2450.0\n" + "-100,-90\n-101,-95\n-103,-91\n-99,-92\n" * 3)
+        smap = write_text(tmp_path / "s.json", '{"TV": [614.0, 698.0]}')
+        run_cli("analyze", trace, "--q", "5", "--strategy", "equal-frequency", "--block", "2", "--avg-domain", "db",
+                "--jobs", "2", "--service-map", smap, "--output", tmp_path / "a1.csv")
+        assert run_cli("analyze", "--from-manifest", tmp_path / "a1.json", "--output", tmp_path / "a2.csv") == 0
+        first, again = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("a1", "a2"))
+        stamps = {"command", "inputs", "tool_version", "created_utc"}
+        recorded = {k: v for k, v in first["manifest"].items() if k not in stamps}
+        assert recorded == {
+            "q": 5, "strategy": "equal-frequency", "block": 2, "avg_domain": "db", "jobs": 2, "service_map": str(smap),
+        }
+        assert list(again["manifest"]) == list(first["manifest"])
+        assert {k: again["manifest"][k] for k in recorded} == recorded
+        assert [b["service"] for b in again["bands"]] == [b["service"] for b in first["bands"]] == ["TV", None]
+
+    def test_cdf_of_a_from_manifest_rerun_matches_the_original(self, tmp_path):
+        trace = tmp_path / "tr.csv"
+        run_cli("synth", "--model", "gaussian", "--n", "200", "--bands", "4", "--start-mhz", "614.1",
+                "--step-mhz", "0.5", "--output", trace)
+        smap = write_text(tmp_path / "s.json", '{"TV": [614.0, 614.7], "ISM": [614.8, 616.0]}')
+        run_cli("analyze", trace, "--service-map", smap, "--output", tmp_path / "a1.csv")
+        run_cli("analyze", "--from-manifest", tmp_path / "a1.json", "--output", tmp_path / "a2.csv")
+        for name in ("a1", "a2"):
+            assert run_cli("cdf", tmp_path / f"{name}.json", "--output", tmp_path / f"cdf_{name}.csv") == 0
+        assert (tmp_path / "cdf_a1.csv").read_bytes() == (tmp_path / "cdf_a2.csv").read_bytes()
+        assert {r["service"] for r in read_csv_rows(tmp_path / "cdf_a2.csv")[1]} == {"TV", "ISM"}
+
+    def test_command_line_service_map_overrides_the_recorded_one(self, tmp_path):
+        trace = write_text(tmp_path / "t.csv", "614.1\n-100\n-101\n-103\n")
+        tv = write_text(tmp_path / "tv.json", '{"TV": [614.0, 698.0]}')
+        ism = write_text(tmp_path / "ism.json", '{"ISM": [600.0, 700.0]}')
+        run_cli("analyze", trace, "--service-map", tv, "--output", tmp_path / "a1.csv")
+        assert run_cli("analyze", "--from-manifest", tmp_path / "a1.json", "--service-map", ism,
+                       "--output", tmp_path / "a2.csv") == 0
+        doc = json.loads((tmp_path / "a2.json").read_text())
+        assert doc["manifest"]["service_map"] == str(ism)
+        assert [b["service"] for b in doc["bands"]] == ["ISM"]
+
+    @pytest.mark.parametrize("service_map", [0, 1, [], {"TV": [614.0, 698.0]}, True])
+    def test_manifest_service_map_not_a_path_exit_2(self, small_csv, tmp_path, service_map):
+        manifest = write_text(tmp_path / "m.json", json.dumps({
+            "command": "analyze", "inputs": [str(small_csv)], "q": 8, "strategy": "equal-width", "block": 1,
+            "avg_domain": "linear", "service_map": service_map,
+        }))
+        # a valid service map on stdin: opening the number 0 would read it and succeed
+        proc = run_module("analyze", "--from-manifest", str(manifest), "--output", str(tmp_path / "an.csv"),
+                          input='{"TV": [614.0, 698.0]}')
+        assert proc.returncode == 2
+        assert f"{manifest}: not a usable analyze manifest (service_map {service_map!r} is not a path)" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "small.csv"]
 
     def test_manifest_embedded_in_report(self, small_csv, tmp_path):
         out = tmp_path / "an.csv"
@@ -570,11 +629,13 @@ def test_json_output_path_exit_3(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
-def run_module(*argv):
+def run_module(*argv, input=None):
     # the child imports the spectropy this process imported, installed or not
     path = [str(Path(spectropy.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, "-m", "spectropy", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "spectropy", *argv], capture_output=True, text=True, env=env, input=input
+    )
 
 
 class TestModuleInvocation:

@@ -75,6 +75,17 @@ class TestQuantizedTrace:
         with pytest.raises(ValueError):
             QuantizedTrace(make_band(), (-1,), 8)
 
+    @pytest.mark.parametrize("levels", [(0.5, 1.7, 1.2), (0, 1.5), (float("nan"),), (float("inf"),)])
+    def test_non_integral_levels_rejected(self, levels):
+        # a cast to int64 would truncate 0.5, 1.7, 1.2 to 0, 1, 1
+        with pytest.raises(ValueError, match="levels must be integers"):
+            QuantizedTrace(make_band(), levels, 2)
+
+    def test_integral_levels_of_any_type_become_ints(self):
+        for levels in [(0.0, 1.0, 1.0), np.array([0, 1, 1], dtype=np.uint8), [0, 1, 1], np.array([0.0, 1.0, 1.0])]:
+            qt = QuantizedTrace(make_band(), levels, 2)
+            assert qt.levels == (0, 1, 1) and all(type(v) is int for v in qt.levels)
+
     def test_q_carried_not_inferred(self):
         qt = QuantizedTrace(make_band(), (0, 0, 0), 8)
         assert qt.q == 8
