@@ -12,6 +12,8 @@ timestamps, so re-running a command with the same parameters (or with
 ``analyze --from-manifest``) reproduces them byte for byte.  Both files
 are written to temporary names before either is renamed, the CSV last,
 so a failing run leaves no partial file and no new CSV by an old JSON.
+The pipeline and the generators are imported by the commands that run
+them, so ``cdf`` and ``--version`` start without numpy.
 
 Exit codes: 0 success, 2 malformed or degenerate input, 3 bad flags or
 parameters.
@@ -48,20 +50,19 @@ from .ingest import (
     parse_header,
     service_for_frequency,
 )
-from .pipeline import analyze_matrix
 from .quantize import MAX_Q, QuantizationConfig, Strategy
-from .synth import (
-    gen_gaussian_psd,
-    gen_iid_uniform,
-    gen_markov,
-    gen_periodic,
-    markov_spec_from_json,
-)
 from .trace import PredictabilityReport
 from .predictability import predictability_cdf
 
 SCHEMA = "spectropy-report/1"
 UNASSIGNED_SERVICE = "unassigned"
+
+
+def analyze_matrix(*args, **kwargs):
+    """``pipeline.analyze_matrix``, imported when an analyze runs: the pipeline loads numpy."""
+    from . import pipeline
+
+    return pipeline.analyze_matrix(*args, **kwargs)
 
 
 def _fmt(x: float) -> str:
@@ -244,10 +245,22 @@ def cmd_analyze(args) -> int:
     return _write_report(args.output, record, lines, {"bands": bands_json}, f"{len(results)} bands")
 
 
+# Python types that a JSON value of each kind parses to; true and false parse to bool, not int
+_JSON_KINDS = {"number": (int, float), "integer": (int,), "boolean": (bool,)}
+
+
+def _json_field(band: dict, key: str, kind: str):
+    """``band[key]``, which must be a JSON value of ``kind``."""
+    value = band[key]
+    if type(value) not in _JSON_KINDS[kind]:
+        raise TypeError(f"{key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def cmd_cdf(args) -> int:
     record = {"command": "cdf", "inputs": args.inputs, "service_map": args.service_map or None}
     service_map = _service_map(record)
-    groups: dict[str, list[PredictabilityReport]] = {}
+    groups: dict[str, list[tuple[str, PredictabilityReport]]] = {}
     for path in args.inputs:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -258,13 +271,13 @@ def cmd_cdf(args) -> int:
         for b in bands:
             try:
                 rep = PredictabilityReport(
-                    pi_max=float(b["pi_max"]),
-                    entropy_used=float(b["entropy_used"]),
-                    clamped=bool(b["clamped"]),
-                    iterations=int(b["iterations"]),
-                    q=int(b["q"]),
+                    pi_max=float(_json_field(b, "pi_max", "number")),
+                    entropy_used=float(_json_field(b, "entropy_used", "number")),
+                    clamped=_json_field(b, "clamped", "boolean"),
+                    iterations=_json_field(b, "iterations", "integer"),
+                    q=_json_field(b, "q", "integer"),
                 )
-                freq_mhz = float(b["freq_mhz"])
+                freq_mhz = float(_json_field(b, "freq_mhz", "number"))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(1, f"{path}: malformed band entry ({exc})") from None
             if service_map is not None:
@@ -273,9 +286,17 @@ def cmd_cdf(args) -> int:
                 service = b.get("service")
                 if not isinstance(service, (str, type(None))):
                     raise ParseError(1, f"{path}: malformed band entry (service {service!r})")
-            groups.setdefault(service or UNASSIGNED_SERVICE, []).append(rep)
+            groups.setdefault(service or UNASSIGNED_SERVICE, []).append((path, rep))
 
-    cdfs = {name: predictability_cdf(reps, name) for name, reps in sorted(groups.items())}
+    cdfs = {}
+    for name, entries in sorted(groups.items()):
+        files_by_q: dict[int, dict[str, None]] = {}
+        for path, rep in entries:
+            files_by_q.setdefault(rep.q, {})[path] = None
+        if len(files_by_q) > 1:
+            where = "; ".join(f"q={q} in {', '.join(files)}" for q, files in sorted(files_by_q.items()))
+            raise InputDataError(f"service {name!r} mixes alphabet sizes ({where})")
+        cdfs[name] = predictability_cdf([rep for _, rep in entries], name)
     lines = ["service,pi_max,cum_fraction"]
     services_json = {}
     for name, cdf in cdfs.items():
@@ -296,6 +317,8 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
 
 
 def cmd_synth(args) -> int:
+    from .synth import gen_gaussian_psd, gen_iid_uniform, gen_markov, gen_periodic, markov_spec_from_json
+
     if args.bands < 1:
         raise ConfigError(f"--bands must be >= 1, got {args.bands}")
     header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]

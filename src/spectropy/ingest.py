@@ -11,7 +11,9 @@ read by the line reader, with the same errors.  Both read one
 universal-newline text stream over the file and hold the matrix plus
 one read buffer: the line reader puts every value into one flat buffer
 that becomes the matrix without a copy.  Block averaging in linear
-power converts one bounded stretch of blocks to mW at a time.
+power converts one bounded stretch of blocks to mW at a time.  numpy is
+imported by the functions that build arrays, so the service-map reader
+and the header parser load without it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BlockLargerThanTraceError,
@@ -35,6 +36,9 @@ from .errors import (
 )
 from .trace import BandMetadata, PsdTrace
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumMatrix:
@@ -44,6 +48,8 @@ class SpectrumMatrix:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         rows = np.asarray(self.rows, dtype=np.float64)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2:
@@ -86,6 +92,8 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
 
     Line numbers in errors are 1-based and count comment lines too.
     """
+    import numpy as np
+
     with open(path, "rb") as fh:
         if not any(block.translate(None, _PLAIN_BYTES) for block in iter(lambda: fh.read(_READ_BLOCK), b"")):
             fh.seek(0)
@@ -128,6 +136,8 @@ def parse_header(line: str, lineno: int, service_map=None) -> tuple[BandMetadata
 
 def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
     """Parse the file line by line, raising every load error with its line number."""
+    import numpy as np
+
     bands: tuple[BandMetadata, ...] | None = None
     data = array("d")
     # universal newlines end a line at LF, CRLF and a bare CR; a leading BOM is dropped
@@ -165,6 +175,8 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
     studies.  A block whose mean power underflows to zero averages to
     -inf dBm, which ``band_trace`` then rejects as a non-finite sample.
     """
+    import numpy as np
+
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     if domain not in AVG_DOMAINS:

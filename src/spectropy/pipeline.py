@@ -4,13 +4,14 @@ Per-band work is independent, so it fans out across worker processes
 when ``jobs > 1``, at most one per band and per CPU (processes, not
 threads: the match-length parse is pure Python and would serialize on
 the interpreter lock).  Results are reassembled in band order regardless
-of completion order, so output is deterministic for any job count.
+of completion order, so output is deterministic for any job count.  The
+process pool is imported only when one is built, so every other run
+starts without ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .entropy import entropy_report
@@ -57,6 +58,8 @@ def analyze_matrix(
     workers = min(jobs, len(quantized), os.cpu_count() or 1)
     if workers <= 1:
         return [analyze_quantized(qt) for qt in quantized]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(quantized) // (workers * 4))
         return list(pool.map(analyze_quantized, quantized, chunksize=chunk))

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import EmptyTraceError
 from .trace import LevelDistribution, PsdTrace, QuantizedTrace
 
@@ -41,6 +39,8 @@ def quantize(trace: PsdTrace, cfg: QuantizationConfig) -> QuantizedTrace:
     monotone for any finite input.  A degenerate band (max equal to min)
     maps everything to level 0.
     """
+    import numpy as np
+
     arr = np.asarray(trace.samples, dtype=np.float64)
     q = cfg.q
     lo, hi = float(arr.min()), float(arr.max())
@@ -57,6 +57,8 @@ def quantize(trace: PsdTrace, cfg: QuantizationConfig) -> QuantizedTrace:
 
 def level_distribution(qt: QuantizedTrace) -> LevelDistribution:
     """Empirical frequency of each level, including never-seen ones."""
+    import numpy as np
+
     n = len(qt.levels)
     if n == 0:
         raise EmptyTraceError("cannot build a distribution from an empty trace")

@@ -2,15 +2,14 @@
 
 Everything here is a frozen dataclass holding plain tuples: equality is
 structural, instances are safe to share across threads, and each type
-checks its invariants when it is built.
+checks its invariants when it is built.  numpy is imported where a check
+builds an array, so a command that only reads reports starts without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EmptyTraceError, NonFiniteSampleError
 
@@ -43,6 +42,8 @@ class PsdTrace:
     samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", tuple(arr.tolist()))
         if not self.samples:
@@ -69,6 +70,8 @@ class QuantizedTrace:
     q: int
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.asarray(self.levels)
         if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
             raise ValueError("levels must be integers")
@@ -90,6 +93,8 @@ class LevelDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
         if not self.probabilities:
             raise ValueError("distribution needs at least one probability")

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spectropy
 from spectropy.cli import main
 from spectropy.quantize import MAX_Q
 from spectropy.synth import gen_gaussian_psd, gen_iid_uniform
-from tests.conftest import write_text
+from tests.conftest import run_python, write_text
 
 
 # one valid band entry of an analyze JSON report
@@ -408,6 +405,26 @@ class TestCdfCommand:
         assert f"Parse: line 1: {bad}: " in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q", 8.9), ("q", True), ("iterations", 3.7), ("clamped", "false"), ("clamped", 0),
+         ("pi_max", "0.5"), ("entropy_used", "1.0"), ("freq_mhz", False)],
+    )
+    def test_band_field_of_wrong_json_type_exit_2(self, tmp_path, capsys, field, value):
+        # read as given, these would group a "q": 8.9 band as q = 8 or a "clamped": "false" band as clamped
+        bad = write_text(tmp_path / "bad.json", json.dumps({"bands": [{**BAND_ENTRY, field: value}]}))
+        assert run_cli("cdf", bad, "--output", tmp_path / "o.csv") == 2
+        assert f"Parse: line 1: {bad}: malformed band entry ({field} must be a JSON " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    def test_reports_of_different_q_exit_2(self, tmp_path, capsys):
+        # the fault is in the reports, not in the parameters
+        a = write_text(tmp_path / "a.json", json.dumps({"bands": [BAND_ENTRY]}))
+        a4 = write_text(tmp_path / "a4.json", json.dumps({"bands": [{**BAND_ENTRY, "q": 4, "pi_max": 0.5}]}))
+        assert run_cli("cdf", a, a4, "--output", tmp_path / "o.csv") == 2
+        assert f"service 'TV' mixes alphabet sizes (q=4 in {a4}; q=8 in {a})" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "a4.json"]
+
     def test_non_utf8_report_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"bands": []}\xff')
@@ -630,12 +647,7 @@ def test_json_output_path_exit_3(tmp_path, capsys, command):
 
 
 def run_module(*argv, input=None):
-    # the child imports the spectropy this process imported, installed or not
-    path = [str(Path(spectropy.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run(
-        [sys.executable, "-m", "spectropy", *argv], capture_output=True, text=True, env=env, input=input
-    )
+    return run_python("-m", "spectropy", *argv, input=input)
 
 
 class TestModuleInvocation:
@@ -649,3 +661,32 @@ class TestModuleInvocation:
         proc = run_module("--version")
         assert proc.returncode == 0
         assert "spectropy" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "command, unused",
+        [
+            (["--version"], ["numpy", "concurrent.futures.process"]),
+            (["cdf", "{dir}/an.json", "--output", "{dir}/cdf.csv"], ["numpy", "concurrent.futures.process"]),
+            (["duty-cycle", "{dir}/t.csv", "--output", "{dir}/dc.csv"], ["concurrent.futures.process"]),
+            (["synth", "--model", "iid", "--n", "20", "--output", "{dir}/s.csv"], ["concurrent.futures.process"]),
+            (["analyze", "{dir}/t.csv", "--jobs", "1", "--output", "{dir}/an2.csv"], ["concurrent.futures.process"]),
+        ],
+        ids=["version", "cdf", "duty-cycle", "synth", "analyze-jobs-1"],
+    )
+    def test_commands_start_without_modules_they_do_not_use(self, tmp_path, command, unused):
+        trace = write_text(tmp_path / "t.csv", "614.1,614.3\n-100,-120\n-110,-121\n-100,-119\n")
+        assert run_cli("analyze", trace, "--output", tmp_path / "an.csv") == 0
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        # runs `python -m spectropy` in the child, then reports which of `unused` it loaded
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['spectropy', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('spectropy', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code in (0, None), exc.code\n"
+            f"print(sorted(set({unused!r}) & set(sys.modules)))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -39,7 +39,7 @@ def three_bands(trace_csv):
 @pytest.fixture
 def fake_pool(monkeypatch):
     FakePool.created = []
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)  # the pipeline imports it from there
     return FakePool
 
 
