@@ -93,12 +93,14 @@ def _atomic_write(files: dict[Path, Iterable[str]]) -> None:
 
 def _write_report(output: Path, record: dict, lines: list[str], body: dict, summary: str) -> int:
     """Write the CSV ``lines`` and a JSON report of ``body`` whose manifest is the command's parameter
-    ``record`` less its None values, with the tool version and time after ``command`` and ``inputs``."""
+    ``record`` less its None values, with the tool version, the time and the working directory (where
+    relative paths in the record start) after ``command`` and ``inputs``."""
     stamped = {
         "command": record["command"],
         "inputs": record["inputs"],
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "working_dir": os.getcwd(),
         **record,
     }
     report = {"schema": SCHEMA, "manifest": {k: v for k, v in stamped.items() if v is not None}, **body}
@@ -188,9 +190,12 @@ def _analyze_record_from_manifest(path) -> dict:
     try:
         if manifest["command"] != "analyze":
             raise ParseError(1, f"{path}: manifest is for {manifest['command']!r}, not analyze")
+        # relative paths name files in the directory the report was written from; a report
+        # without that record is read from the current directory
+        working_dir = os.fspath(manifest.get("working_dir", ""))
         record = {
             "command": "analyze",
-            "inputs": [os.fspath(manifest["inputs"][0])],
+            "inputs": [os.path.join(working_dir, os.fspath(manifest["inputs"][0]))],
             "q": int(manifest["q"]),
             "strategy": Strategy(manifest["strategy"]).value,
             "block": int(manifest["block"]),
@@ -209,6 +214,8 @@ def _analyze_record_from_manifest(path) -> dict:
     elif not isinstance(record["service_map"], (str, type(None))):  # open(0) would read stdin
         problem = f"service_map {record['service_map']!r} is not a path"
     else:
+        if record["service_map"]:
+            record["service_map"] = os.path.join(working_dir, record["service_map"])
         return record
     raise ParseError(1, f"{path}: not a usable analyze manifest ({problem})")
 
@@ -326,21 +333,27 @@ def cmd_synth(args) -> int:
         parse_header(",".join(header), 1)
     except ParseError as exc:  # load_matrix would reject the file
         raise ConfigError(f"band {exc.reason}") from None
-    if args.model == "markov":
-        if not args.spec:
-            raise ConfigError("--spec is required for the markov model")
-        spec = markov_spec_from_json(args.spec)
-        columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels for k in range(args.bands)]
-    elif args.model == "periodic":
-        if not args.pattern:
-            raise ConfigError("--pattern is required for the periodic model")
-        columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
-    elif args.model == "gaussian":
-        columns = [
-            gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples for k in range(args.bands)
-        ]
-    else:
-        columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
+    try:
+        if args.model == "markov":
+            if not args.spec:
+                raise ConfigError("--spec is required for the markov model")
+            spec = markov_spec_from_json(args.spec)
+            columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels
+                       for k in range(args.bands)]
+        elif args.model == "periodic":
+            if not args.pattern:
+                raise ConfigError("--pattern is required for the periodic model")
+            columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
+        elif args.model == "gaussian":
+            columns = [
+                gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
+                for k in range(args.bands)
+            ]
+        else:
+            columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
+    except MemoryError:  # numpy's failed allocations are MemoryErrors too
+        size = f"--repeats {args.repeats}" if args.model == "periodic" else f"--n {args.n}"
+        raise ConfigError(f"{size} is too large: the samples of a band do not fit in memory") from None
 
     # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
     row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"

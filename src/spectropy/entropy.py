@@ -12,10 +12,10 @@ lengths of noisy bands in a few rounds of numpy work.  Bands whose
 symbol entropy is too low for it to pay (constant, idle, beacon), and
 bands on which it overruns its round cap or its work budget of a fixed
 multiple of n (long periodic stretches), go to a suffix automaton on
-integer states and flat lists, with a dict in place of the flat table
-for large alphabets.  Both stages are O(n) in time and memory on every
-input and alphabet, apart from a sort of the labels when refinement
-meets a wide alphabet.
+integer states and preallocated flat lists, with a dict in place of the
+flat table for large alphabets.  Both stages are O(n) in time and memory
+on every input and alphabet, apart from a sort of the labels when
+refinement meets a wide alphabet.
 """
 
 from __future__ import annotations
@@ -96,9 +96,12 @@ def lz_parse(levels) -> LzParse:
 
 
 _FLAT_MAX_SIGMA = 16
-# Class refinement hands a band to the automaton past this many rounds,
-# or once its working sets sum to more than _REFINE_WORK * n positions.
-_REFINE_MAX_ROUNDS = 24
+# A band is refined only if log2(n) over its symbol entropy is below
+# _PRECHECK_ROUNDS.  Refinement hands it to the automaton past
+# _REFINE_MAX_ROUNDS rounds, or once its working sets sum to more than
+# _REFINE_WORK * n positions.
+_PRECHECK_ROUNDS = 12
+_REFINE_MAX_ROUNDS = 40
 _REFINE_WORK = 16
 _TABLE_PER_POSITION = 4
 
@@ -108,14 +111,14 @@ def lz_parse_fast(levels) -> LzParse:
 
     The first stage, ``_refine``, settles every lambda in numpy rounds,
     one symbol of match length per round.  It is skipped when log2(n)
-    over the symbol entropy H1 exceeds half of ``_REFINE_MAX_ROUNDS``,
-    as on constant, idle and beacon bands, whose matches run long; it
-    gives up after ``_REFINE_MAX_ROUNDS`` rounds, or once its working
-    sets sum to more than ``_REFINE_WORK * n`` positions, as on periodic
-    stretches.  Then the second stage, the suffix automaton
-    ``_automaton``, parses the whole band.  Each stage does O(n) work and
-    holds O(n) memory on every input and alphabet, so the parse does too
-    (refinement sorts its labels, O(n log n), only on wide alphabets).
+    over the symbol entropy H1 exceeds ``_PRECHECK_ROUNDS``, as on
+    constant, idle and beacon bands, whose matches run long; it gives up
+    after ``_REFINE_MAX_ROUNDS`` rounds, or once its working sets sum to
+    more than ``_REFINE_WORK * n`` positions, as on periodic stretches.
+    Then the second stage, the suffix automaton ``_automaton``, parses
+    the whole band.  Each stage does O(n) work and holds O(n) memory on
+    every input and alphabet, so the parse does too (refinement sorts
+    its labels, O(n log n), only on wide alphabets).
     """
     seq = _symbol_ids(levels)
     n = len(seq)
@@ -125,7 +128,7 @@ def lz_parse_fast(levels) -> LzParse:
     arr = np.fromiter(seq, dtype=np.int64, count=n)
     counts = np.bincount(arr).tolist()
     h1 = math.log2(n) - sum(c * math.log2(c) for c in counts) / n  # bits per symbol
-    if h1 * _REFINE_MAX_ROUNDS > 2 * math.log2(n):
+    if h1 * _PRECHECK_ROUNDS > math.log2(n):
         lambdas = _refine(arr, len(counts), _REFINE_MAX_ROUNDS, _REFINE_WORK * n)
         if lambdas is not None:
             return LzParse(tuple(lambdas.tolist()))
@@ -196,9 +199,10 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
     once one suffix link has dropped the match's first symbol, and every
     input costs O(n) amortised steps.
 
-    States index the lists ``link`` and ``max_len``, and the edge of
-    state s on symbol c is ``nxt[s * sigma + c]``, 0 when absent, since
-    no edge enters the root.  Up to ``_FLAT_MAX_SIGMA`` symbols ``nxt`` is a flat list of
+    States index the lists ``link`` and ``max_len``, allocated once at
+    the 2n + 1 states the automaton can reach, and the edge of state s on
+    symbol c is ``nxt[s * sigma + c]``, 0 when absent, since no edge
+    enters the root.  Up to ``_FLAT_MAX_SIGMA`` symbols ``nxt`` is a flat list of
     (2n + 1) * sigma slots and a clone copies one sigma-slice.  Past that
     the list would need more memory than a dict of the edges, so ``nxt``
     is a dict and ``symbols`` lists each state's edges for its clones.
@@ -207,8 +211,10 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
     flat = sigma <= _FLAT_MAX_SIGMA
     nxt = [0] * ((2 * n + 1) * sigma) if flat else defaultdict(int)
     symbols = defaultdict(list)
-    link = [-1]
-    max_len = [0]
+    link = [0] * (2 * n + 1)
+    link[0] = -1
+    max_len = [0] * (2 * n + 1)
+    size = 1  # states in use
     last = 0
     lambdas = [0] * n
     # (node, length): the state reached by the current match seq[i:i+length]
@@ -224,9 +230,9 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
         lambdas[i] = length + 1
 
         c = seq[i]
-        cur = len(max_len)
-        max_len.append(i + 1)
-        link.append(0)
+        cur = size
+        size += 1
+        max_len[cur] = i + 1  # link[cur] stays 0, the root, unless set below
         p = last
         while p >= 0 and not nxt[p * sigma + c]:
             nxt[p * sigma + c] = cur
@@ -238,9 +244,10 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
             if max_len[q] == max_len[p] + 1:
                 link[cur] = q
             else:
-                clone = len(max_len)
-                max_len.append(max_len[p] + 1)
-                link.append(link[q])
+                clone = size
+                size += 1
+                max_len[clone] = max_len[p] + 1
+                link[clone] = link[q]
                 if flat:
                     nxt[clone * sigma : clone * sigma + sigma] = nxt[q * sigma : q * sigma + sigma]
                 else:

@@ -177,7 +177,8 @@ class TestAnalyzeCommand:
                 "--jobs", "2", "--service-map", smap, "--output", tmp_path / "a1.csv")
         assert run_cli("analyze", "--from-manifest", tmp_path / "a1.json", "--output", tmp_path / "a2.csv") == 0
         first, again = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("a1", "a2"))
-        stamps = {"command", "inputs", "tool_version", "created_utc"}
+        stamps = {"command", "inputs", "tool_version", "created_utc", "working_dir"}
+        assert first["manifest"]["working_dir"] == again["manifest"]["working_dir"] == os.getcwd()
         recorded = {k: v for k, v in first["manifest"].items() if k not in stamps}
         assert recorded == {
             "q": 5, "strategy": "equal-frequency", "block": 2, "avg_domain": "db", "jobs": 2, "service_map": str(smap),
@@ -185,6 +186,35 @@ class TestAnalyzeCommand:
         assert list(again["manifest"]) == list(first["manifest"])
         assert {k: again["manifest"][k] for k in recorded} == recorded
         assert [b["service"] for b in again["bands"]] == [b["service"] for b in first["bands"]] == ["TV", None]
+
+    def test_from_manifest_reads_relative_paths_where_the_report_was_written(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        write_text(sub / "t.csv", "614.1,2450.0\n" + "-100,-90\n-101,-95\n-103,-91\n-99,-92\n" * 3)
+        write_text(sub / "s.json", '{"TV": [614.0, 698.0]}')
+        monkeypatch.chdir(sub)
+        assert run_cli("analyze", "t.csv", "--service-map", "s.json", "--output", "a.csv") == 0
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("analyze", "--from-manifest", Path("sub", "a.json"), "--output", "b.csv") == 0
+        assert (tmp_path / "b.csv").read_bytes() == (sub / "a.csv").read_bytes()
+        again = json.loads((tmp_path / "b.json").read_text())
+        assert [b["service"] for b in again["bands"]] == ["TV", None]
+        # the re-run's own manifest names the same files from wherever it is read
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run_cli("analyze", "--from-manifest", tmp_path / "b.json", "--output", "c.csv") == 0
+        assert (tmp_path / "elsewhere" / "c.csv").read_bytes() == (sub / "a.csv").read_bytes()
+
+    def test_manifest_without_working_dir_reads_from_the_current_directory(self, tmp_path, monkeypatch):
+        write_text(tmp_path / "t.csv", "614.1\n-100\n-101\n-103\n-99\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("analyze", "t.csv", "--output", "a.csv") == 0
+        doc = json.loads((tmp_path / "a.json").read_text())
+        del doc["manifest"]["working_dir"]  # as written before the key existed
+        write_text(tmp_path / "old.json", json.dumps(doc))
+        assert run_cli("analyze", "--from-manifest", "old.json", "--output", "b.csv") == 0
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert json.loads((tmp_path / "b.json").read_text())["manifest"]["inputs"] == ["t.csv"]
 
     def test_cdf_of_a_from_manifest_rerun_matches_the_original(self, tmp_path):
         trace = tmp_path / "tr.csv"
@@ -543,6 +573,29 @@ class TestSynthCommand:
         out = tmp_path / "o.csv"
         assert run_cli("synth", "--model", "gaussian", "--n", "10", "--bands", bands, "--output", out) == 3
         assert "--bands must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, size",
+        [
+            (["--model", "iid", "--n", "10000000000000"], "--n 10000000000000"),
+            (["--model", "periodic", "--pattern", "1,2", "--repeats", "100000000000000"], "--repeats 100000000000000"),
+        ],
+        ids=["iid", "periodic"],
+    )
+    def test_size_beyond_memory_exit_3(self, tmp_path, flags, size):
+        # in a child whose address space is capped at 2 GiB, so that no allocation of that size can succeed
+        script = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from spectropy.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = run_python("-c", script, "synth", *flags, "--output", str(tmp_path / "o.csv"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: Config: {size} is too large: the samples of a band do not fit in memory\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
