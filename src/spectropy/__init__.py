@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BlockLargerThanTraceError,
-    BlockTooLongError,
     ConfigError,
     DomainError,
     EmptyInputError,
@@ -64,7 +63,6 @@ from .predictability import (
 _LAZY_MODULES = {
     "entropy": (
         "LzParse",
-        "block_entropy_rate",
         "entropy_report",
         "lz_entropy_estimate",
         "lz_parse",

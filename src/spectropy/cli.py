@@ -45,6 +45,7 @@ from .ingest import (
     AVG_DOMAINS,
     block_average,
     duty_cycle,
+    json_value,
     load_matrix,
     load_service_map,
     parse_header,
@@ -193,17 +194,18 @@ def _analyze_record_from_manifest(path) -> dict:
         # relative paths name files in the directory the report was written from; a report
         # without that record is read from the current directory
         working_dir = os.fspath(manifest.get("working_dir", ""))
+        inputs = json_value(manifest["inputs"], "array", "inputs")
         record = {
             "command": "analyze",
-            "inputs": [os.path.join(working_dir, os.fspath(manifest["inputs"][0]))],
-            "q": int(manifest["q"]),
+            "inputs": [os.path.join(working_dir, json_value(inputs[0], "string", "inputs[0]"))],
+            "q": json_value(manifest["q"], "integer", "q"),
             "strategy": Strategy(manifest["strategy"]).value,
-            "block": int(manifest["block"]),
+            "block": json_value(manifest["block"], "integer", "block"),
             "avg_domain": manifest["avg_domain"],
-            "jobs": int(manifest.get("jobs", 1)),
+            "jobs": json_value(manifest.get("jobs", 1), "integer", "jobs"),
             "service_map": manifest.get("service_map"),
         }
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ParseError(1, f"{path}: not a usable analyze manifest ({exc})") from None
     if not 1 <= record["q"] <= MAX_Q:
         problem = f"q {record['q']} outside [1, {MAX_Q}]"
@@ -252,18 +254,6 @@ def cmd_analyze(args) -> int:
     return _write_report(args.output, record, lines, {"bands": bands_json}, f"{len(results)} bands")
 
 
-# Python types that a JSON value of each kind parses to; true and false parse to bool, not int
-_JSON_KINDS = {"number": (int, float), "integer": (int,), "boolean": (bool,)}
-
-
-def _json_field(band: dict, key: str, kind: str):
-    """``band[key]``, which must be a JSON value of ``kind``."""
-    value = band[key]
-    if type(value) not in _JSON_KINDS[kind]:
-        raise TypeError(f"{key} must be a JSON {kind}, got {value!r}")
-    return value
-
-
 def cmd_cdf(args) -> int:
     record = {"command": "cdf", "inputs": args.inputs, "service_map": args.service_map or None}
     service_map = _service_map(record)
@@ -278,13 +268,13 @@ def cmd_cdf(args) -> int:
         for b in bands:
             try:
                 rep = PredictabilityReport(
-                    pi_max=float(_json_field(b, "pi_max", "number")),
-                    entropy_used=float(_json_field(b, "entropy_used", "number")),
-                    clamped=_json_field(b, "clamped", "boolean"),
-                    iterations=_json_field(b, "iterations", "integer"),
-                    q=_json_field(b, "q", "integer"),
+                    pi_max=float(json_value(b["pi_max"], "number", "pi_max")),
+                    entropy_used=float(json_value(b["entropy_used"], "number", "entropy_used")),
+                    clamped=json_value(b["clamped"], "boolean", "clamped"),
+                    iterations=json_value(b["iterations"], "integer", "iterations"),
+                    q=json_value(b["q"], "integer", "q"),
                 )
-                freq_mhz = float(_json_field(b, "freq_mhz", "number"))
+                freq_mhz = float(json_value(b["freq_mhz"], "number", "freq_mhz"))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(1, f"{path}: malformed band entry ({exc})") from None
             if service_map is not None:

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlockTooLongError,
-    EmptySequenceError,
-    EmptyTraceError,
-    SequenceTooShortError,
-)
+from .errors import EmptySequenceError, EmptyTraceError, SequenceTooShortError
 from .quantize import level_distribution
 from .trace import EntropyReport, LevelDistribution, QuantizedTrace
 
@@ -301,39 +296,6 @@ def lz_entropy_estimate(levels) -> float:
     if n < 2:
         raise SequenceTooShortError(f"need at least 2 symbols, got {n}")
     return n * math.log2(n) / lz_parse_fast(levels).total()
-
-
-def block_entropy_rate(levels, k: int) -> float:
-    """Entropy of overlapping length-k windows divided by k (bits/symbol).
-
-    A plug-in cross-check for the match-length estimator at small k;
-    meaningful only while the window alphabet stays well below n.  k=1
-    reproduces the Shannon entropy of the level distribution.
-    """
-    n = len(levels)
-    if n == 0:
-        raise EmptySequenceError("cannot compute block entropy of an empty sequence")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise BlockTooLongError(f"window length {k} exceeds sequence length {n}")
-
-    arr = np.asarray(_symbol_ids(levels), dtype=np.int64)
-    base = int(arr.max()) + 1
-    m = n - k + 1
-    if base == 1:
-        return 0.0
-    width = int(62 // math.log2(base))  # symbols one int64 code holds: base**width <= 2**62
-    codes = np.zeros((-(-k // width), m), dtype=np.int64)  # one row of codes per width symbols of a window
-    for j in range(k):
-        codes[j // width] *= base
-        codes[j // width] += arr[j : j + m]
-    if len(codes) == 1:
-        _, counts = np.unique(codes[0], return_counts=True)
-    else:  # count the distinct code tuples, m x len(codes) int64s
-        _, counts = np.unique(codes.T, axis=0, return_counts=True)
-    p = counts / m
-    return float(-(p * np.log2(p)).sum()) / k
 
 
 def entropy_report(qt: QuantizedTrace) -> EntropyReport:

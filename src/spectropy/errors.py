@@ -78,10 +78,6 @@ class SequenceTooShortError(ConfigError):
     """The sequence is shorter than the operation's minimum length."""
 
 
-class BlockTooLongError(ConfigError):
-    """A window length exceeds the sequence length."""
-
-
 class DomainError(ConfigError):
     """An argument lies outside the mathematical domain of the operation."""
 

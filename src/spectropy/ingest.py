@@ -213,6 +213,17 @@ def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> DutyCycleReport:
     return DutyCycleReport(tuple((band, float(dc)) for band, dc in zip(matrix.bands, frac)))
 
 
+# Python types that a JSON value of each kind parses to; true and false parse to bool, not int
+_JSON_KINDS = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,), "array": (list,)}
+
+
+def json_value(value, kind: str, name: str):
+    """``value``, parsed from JSON, if it is a JSON value of ``kind``; else a TypeError that calls it ``name``."""
+    if type(value) not in _JSON_KINDS[kind]:
+        raise TypeError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def load_service_map(path) -> dict[str, tuple[float, float]]:
     """Read a sidecar JSON mapping service names to [lo_mhz, hi_mhz]."""
     try:
@@ -224,10 +235,10 @@ def load_service_map(path) -> dict[str, tuple[float, float]]:
         raise ParseError(1, f"{path}: service map must be a JSON object")
     out: dict[str, tuple[float, float]] = {}
     for name, span in raw.items():
-        try:
-            lo, hi = float(span[0]), float(span[1])
-        except (TypeError, ValueError, OverflowError, IndexError, KeyError):
-            raise ParseError(1, f"{path}: service {name!r} must map to [lo_mhz, hi_mhz]") from None
+        try:  # unpacking more or fewer than two bounds raises ValueError
+            lo, hi = (float(json_value(v, "number", "bound")) for v in json_value(span, "array", "span"))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(1, f"{path}: service {name!r} must map to [lo_mhz, hi_mhz], two JSON numbers") from None
         if not lo < hi:
             raise ParseError(1, f"{path}: service {name!r} range must have lo < hi")
         out[name] = (lo, hi)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidStochasticMatrixError, NotIrreducibleError
+from .ingest import json_value
 from .trace import BandMetadata, PsdTrace, QuantizedTrace
 
 _STOCHASTIC_TOL = 1e-12
@@ -64,9 +65,9 @@ def markov_spec_from_json(path) -> MarkovSpec:
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
         return MarkovSpec(
-            transition=tuple(tuple(row) for row in d["matrix"]),
-            initial=tuple(d["initial"]),
-            seed=int(d["seed"]),
+            transition=tuple(tuple(json_value(x, "number", "matrix entry") for x in row) for row in d["matrix"]),
+            initial=tuple(json_value(x, "number", "initial entry") for x in d["initial"]),
+            seed=json_value(d["seed"], "integer", "seed"),
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: Markov spec has no {exc} key") from None

@@ -290,6 +290,17 @@ class TestAnalyzeCommand:
             b' "avg_domain": "db"}',
             b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 1,'
             b' "avg_domain": "db", "jobs": 0}',
+            # JSON values of the wrong type, which ran as q 8, q 1, jobs 1, an input named "t" and block 1
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8.9, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": true, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db", "jobs": 1.7}',
+            b'{"command": "analyze", "inputs": "t.csv", "q": 8, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db"}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": "1",'
+            b' "avg_domain": "db"}',
         ],
     )
     def test_unusable_manifest_exit_2(self, tmp_path, capsys, content):
@@ -306,6 +317,12 @@ class TestAnalyzeCommand:
             b'{"TV": [614.0, 698.0]}\xff',
             b'{"TV": {"lo": 1}}',
             pytest.param(b'{"TV": [1' + b"0" * 400 + b", 2]}", id="span-overflows"),
+            # a span is exactly two JSON numbers; the first four mapped TV to 1-700, 614-698, 614-698 and 1-9 MHz
+            b'{"TV": [true, "700"]}',
+            b'{"TV": ["614", "698"]}',
+            b'{"TV": [614, 698, 5]}',
+            b'{"TV": "19"}',
+            b'{"TV": [614]}',
         ],
     )
     def test_bad_service_map_exit_2(self, small_csv, tmp_path, capsys, content):
@@ -533,6 +550,13 @@ class TestSynthCommand:
             b'{"matrix": [[1.0]], "initial": [1.0], "seed": 1e999}',
             b"{not json",
             b'{"seed": 1}\xff',
+            # the seed is a JSON integer and every probability a JSON number
+            b'{"matrix": [[1.0]], "initial": [1.0], "seed": 3.7}',
+            b'{"matrix": [[1.0]], "initial": [1.0], "seed": true}',
+            b'{"matrix": [[true]], "initial": [1.0], "seed": 1}',
+            b'{"matrix": [[0, 1], [1, false]], "initial": [0.5, 0.5], "seed": 1}',
+            b'{"matrix": [[1.0]], "initial": [true], "seed": 1}',
+            b'{"matrix": [["1.0"]], "initial": [1.0], "seed": 1}',
         ],
     )
     def test_malformed_markov_spec_exit_3(self, tmp_path, capsys, content):

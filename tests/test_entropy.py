@@ -1,7 +1,6 @@
 import math
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 import spectropy.entropy as entropy_module
 from spectropy import (
-    BlockTooLongError,
     EmptySequenceError,
     LevelDistribution,
     PsdTrace,
@@ -18,13 +16,9 @@ from spectropy import (
     SequenceTooShortError,
     SpectrumMatrix,
     block_average,
-    block_entropy_rate,
     entropy_report,
     gen_iid_uniform,
-    gen_markov,
     gen_periodic,
-    binary_symmetric_spec,
-    level_distribution,
     lz_entropy_estimate,
     lz_parse,
     lz_parse_fast,
@@ -483,72 +477,6 @@ class TestLzEntropyEstimate:
         for n in (2, 3, 10, 101):
             seq = rng.integers(0, 3, n).tolist()
             assert lz_entropy_estimate(seq) >= 0.0
-
-
-class TestBlockEntropyRate:
-    def test_k1_equals_shannon_of_level_distribution(self, rng):
-        qt = _qt(rng.integers(0, 6, 400).tolist(), 6)
-        assert block_entropy_rate(qt.levels, 1) == pytest.approx(
-            shannon_entropy(level_distribution(qt)), abs=1e-12
-        )
-
-    def test_period_two_hand_count(self):
-        # odd length makes the two windows "01" and "10" exactly equally
-        # frequent (500 each over 1000 overlapping windows) -> H_2/2 = 0.5
-        seq = [0, 1] * 500 + [0]
-        assert block_entropy_rate(seq, 2) == pytest.approx(0.5, abs=1e-12)
-
-    def test_period_two_even_length_hand_count(self):
-        # even length leaves 500 "01" vs 499 "10"; pin the exact hand value
-        seq = [0, 1] * 500
-        p = np.array([500 / 999, 499 / 999])
-        expected = float(-(p * np.log2(p)).sum()) / 2
-        assert block_entropy_rate(seq, 2) == pytest.approx(expected, abs=1e-12)
-
-    def test_iid_binary_block4(self):
-        qt = gen_iid_uniform(2, 100_000, seed=0)
-        assert block_entropy_rate(qt.levels, 4) == pytest.approx(1.0, abs=0.05)
-
-    def test_non_increasing_in_k_for_synthetic_sources(self):
-        iid = gen_iid_uniform(4, 50_000, seed=1).levels
-        markov = gen_markov(binary_symmetric_spec(0.2, seed=1), 50_000).levels
-        for levels in (iid, markov):
-            rates = [block_entropy_rate(levels, k) for k in (1, 2, 3, 4)]
-            for a, b in zip(rates, rates[1:]):
-                assert b <= a + 0.02
-
-    def test_window_longer_than_sequence(self):
-        with pytest.raises(BlockTooLongError):
-            block_entropy_rate([0, 1], 3)
-
-    def test_wide_window_falls_back_to_exact_counting(self):
-        # 100 distinct symbols with k=10 overflows base**k, forcing the
-        # tuple-counting path; all windows distinct -> H_k = log2(m)
-        seq = list(range(100))
-        assert block_entropy_rate(seq, 10) == pytest.approx(math.log2(91) / 10, abs=1e-12)
-
-    @pytest.mark.parametrize("q, k", [(2, 62), (2, 63), (2, 130), (3, 80), (7, 30)])
-    def test_wide_window_matches_tuple_count(self, rng, q, k):
-        # windows of one, two and three int64 codes, each boundary included
-        seq = rng.integers(0, q, 3000).tolist()
-        m = len(seq) - k + 1
-        p = np.array(list(Counter(tuple(seq[i : i + k]) for i in range(m)).values())) / m
-        assert block_entropy_rate(seq, k) == pytest.approx(float(-(p * np.log2(p)).sum()) / k, abs=1e-12)
-
-    def test_wide_window_memory_bound(self, rng):
-        # binary k=64 windows take two codes each; a copy of every window would be 64 x 8 B per window
-        seq = rng.integers(0, 2, 50_000).tolist()
-        tracemalloc.start()
-        try:
-            block_entropy_rate(seq, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 8 * len(seq)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySequenceError):
-            block_entropy_rate([], 1)
 
 
 class TestEntropyReport:

@@ -5,13 +5,13 @@ from tests.conftest import run_python
 
 # every public name the package bound when its __init__ imported each module eagerly
 PUBLIC_NAMES = [
-    "BandAnalysis", "BandMetadata", "BlockLargerThanTraceError", "BlockTooLongError", "CdfReport", "ConfigError",
+    "BandAnalysis", "BandMetadata", "BlockLargerThanTraceError", "CdfReport", "ConfigError",
     "DomainError", "DutyCycleReport", "EmptyInputError", "EmptySequenceError", "EmptyTraceError", "EntropyReport",
     "InputDataError", "InvalidStochasticMatrixError", "LevelDistribution", "LzParse", "MarkovSpec",
     "NonFiniteSampleError", "NonFiniteValueError", "NotIrreducibleError", "ParseError", "PredictabilityReport",
     "PsdTrace", "QuantizationConfig", "QuantizedTrace", "RaggedRowError", "SequenceTooShortError", "SpectropyError",
     "SpectrumMatrix", "Strategy", "analyze_matrix", "band_predictability", "binary_symmetric_spec", "block_average",
-    "block_entropy_rate", "duty_cycle", "entropy", "entropy_report", "errors", "fano_rhs", "gen_gaussian_psd",
+    "duty_cycle", "entropy", "entropy_report", "errors", "fano_rhs", "gen_gaussian_psd",
     "gen_iid_uniform", "gen_markov", "gen_periodic", "ingest", "level_distribution", "load_matrix",
     "load_service_map", "lz_entropy_estimate", "lz_parse", "lz_parse_fast", "markov_entropy_rate",
     "markov_spec_from_json", "max_predictability", "pipeline", "predictability", "predictability_cdf", "quantize",
