@@ -150,12 +150,14 @@ def cmd_duty_cycle(args) -> int:
         if column in named:
             raise ConfigError(f"thresholds {named[column]!r} and {t!r} both name the column {column}")
         named[column] = t
+    if args.block < 1:  # block_average would reject it, but --before-average skips that call
+        raise ConfigError(f"block must be >= 1, got {args.block}")
     record = {
         "command": "duty-cycle", "inputs": [args.input], "block": args.block, "avg_domain": args.avg_domain,
         "thresholds": thresholds, "dc_before_average": args.before_average, "service_map": args.service_map or None,
     }
     matrix = load_matrix(args.input, service_map=_service_map(record))
-    # block 1 gives back the matrix itself, and a block below 1 is rejected
+    # block 1 gives back the matrix itself
     stage_matrix = matrix if args.before_average else block_average(matrix, args.block, domain=args.avg_domain)
     reports = [duty_cycle(stage_matrix, t) for t in thresholds]
 
@@ -305,12 +307,9 @@ def cmd_cdf(args) -> int:
 
 def _parse_pattern(text: str) -> tuple[int, ...]:
     try:
-        pattern = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ConfigError(f"pattern must be comma-separated integers, got {text!r}") from None
-    if not pattern:
-        raise ConfigError("pattern must be non-empty")
-    return pattern
 
 
 def cmd_synth(args) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySequenceError, EmptyTraceError, SequenceTooShortError
+from .errors import EmptySequenceError, SequenceTooShortError
 from .quantize import level_distribution
 from .trace import EntropyReport, LevelDistribution, QuantizedTrace
 
@@ -300,13 +300,10 @@ def lz_entropy_estimate(levels) -> float:
 
 def entropy_report(qt: QuantizedTrace) -> EntropyReport:
     """Bundle the random, Shannon and estimated actual entropies."""
-    n = len(qt.levels)
-    if n == 0:
-        raise EmptyTraceError("cannot analyze an empty trace")
     return EntropyReport(
         e_rand=random_entropy(qt.q),
         e_unc=shannon_entropy(level_distribution(qt)),
         e_actual=lz_entropy_estimate(qt.levels),
-        n=n,
+        n=len(qt.levels),
         q=qt.q,
     )

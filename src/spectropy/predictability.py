@@ -65,8 +65,6 @@ def max_predictability(e_actual: float, q: int) -> PredictabilityReport:
         raise DomainError(f"q must be >= 1, got {q}")
     if not math.isfinite(e_actual):
         raise DomainError(f"entropy must be finite, got {e_actual}")
-    if q == 1:
-        return PredictabilityReport(pi_max=1.0, entropy_used=e_actual, clamped=False, iterations=0, q=1)
     cap = math.log2(q)
     if e_actual <= 0.0:
         return PredictabilityReport(1.0, 0.0, e_actual < 0.0, 0, q)

@@ -148,7 +148,5 @@ class PredictabilityReport:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.q > 1 and not (1.0 / self.q <= self.pi_max <= 1.0):
+        if not 1.0 / self.q <= self.pi_max <= 1.0:
             raise ValueError(f"pi_max={self.pi_max} outside [1/{self.q}, 1]")
-        if self.q == 1 and self.pi_max != 1.0:
-            raise ValueError("pi_max must be 1 for a single-level alphabet")

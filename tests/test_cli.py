@@ -113,9 +113,13 @@ class TestDutyCycleCommand:
         assert read_csv_rows(raw)[1][0]["duty_cycle_-107"] == "0.25"
         assert read_csv_rows(avg)[1][0]["duty_cycle_-107"] == "1"
 
-    @pytest.mark.parametrize("block", ["0", "-3"])
-    def test_block_below_1_exit_3(self, small_csv, tmp_path, capsys, block):
-        assert run_cli("duty-cycle", small_csv, "--block", block, "--output", tmp_path / "dc.csv") == 3
+    @pytest.mark.parametrize(("block", "extra"), [
+        pytest.param(block, extra, id=block + "".join(extra))
+        for extra in [(), ("--before-average",)]  # which skips block_average
+        for block in ["0", "-3"]
+    ])
+    def test_block_below_1_exit_3(self, small_csv, tmp_path, capsys, block, extra):
+        assert run_cli("duty-cycle", small_csv, "--block", block, *extra, "--output", tmp_path / "dc.csv") == 3
         assert f"block must be >= 1, got {block}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
 

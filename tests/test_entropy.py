@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import spectropy.entropy as entropy_module
 from spectropy import (
     EmptySequenceError,
+    EmptyTraceError,
     LevelDistribution,
     PsdTrace,
     QuantizationConfig,
@@ -501,3 +502,7 @@ class TestEntropyReport:
     def test_short_trace_propagates(self):
         with pytest.raises(SequenceTooShortError):
             entropy_report(_qt([0], 8))
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(EmptyTraceError):
+            entropy_report(_qt([], 8))

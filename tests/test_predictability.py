@@ -82,9 +82,18 @@ class TestMaxPredictability:
         rep = max_predictability(3.2, 8)
         assert rep.pi_max == 0.125 and rep.clamped and rep.entropy_used == 3.0
 
-    def test_q1_short_circuit(self):
-        rep = max_predictability(0.04, 1)
-        assert rep.pi_max == 1.0 and not rep.clamped and rep.iterations == 0
+    @pytest.mark.parametrize(("q", "e"), [
+        (q, e)
+        for q in (1, 2, 8)
+        for e in sorted({-0.25, 0.0, 0.5 * math.log2(q), math.log2(q), math.log2(q) + 0.2})
+    ])
+    def test_clamps_to_zero_and_log2_q(self, q, e):
+        # at q = 1 the range [0, log2 q] is the single point 0, so any positive entropy is clamped
+        rep = max_predictability(e, q)
+        assert rep.entropy_used == min(max(e, 0.0), math.log2(q))
+        assert rep.clamped == (e != rep.entropy_used)
+        if q == 1:
+            assert rep.pi_max == 1.0 and rep.iterations == 0
 
     def test_q2_uses_degenerate_log_term(self):
         # log2(q-1) = 0, pure binary entropy inversion

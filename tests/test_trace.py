@@ -126,3 +126,5 @@ class TestReports:
             PredictabilityReport(pi_max=0.1, entropy_used=1.0, clamped=False, iterations=0, q=8)
         ok = PredictabilityReport(pi_max=0.5, entropy_used=1.0, clamped=False, iterations=10, q=8)
         assert ok.pi_max == 0.5
+        with pytest.raises(ValueError):  # a single-level alphabet is always predicted
+            PredictabilityReport(pi_max=0.9, entropy_used=0.0, clamped=False, iterations=0, q=1)
