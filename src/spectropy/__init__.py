@@ -43,7 +43,6 @@ from .trace import (
     QuantizedTrace,
 )
 from .ingest import (
-    DutyCycleReport,
     SpectrumMatrix,
     block_average,
     duty_cycle,

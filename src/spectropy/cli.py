@@ -150,21 +150,19 @@ def cmd_duty_cycle(args) -> int:
         if column in named:
             raise ConfigError(f"thresholds {named[column]!r} and {t!r} both name the column {column}")
         named[column] = t
-    if args.block < 1:  # block_average would reject it, but --before-average skips that call
-        raise ConfigError(f"block must be >= 1, got {args.block}")
     record = {
         "command": "duty-cycle", "inputs": [args.input], "block": args.block, "avg_domain": args.avg_domain,
-        "thresholds": thresholds, "dc_before_average": args.before_average, "service_map": args.service_map or None,
+        "thresholds": thresholds, "service_map": args.service_map or None,
     }
     matrix = load_matrix(args.input, service_map=_service_map(record))
-    # block 1 gives back the matrix itself
-    stage_matrix = matrix if args.before_average else block_average(matrix, args.block, domain=args.avg_domain)
-    reports = [duty_cycle(stage_matrix, t) for t in thresholds]
+    # block 1 gives back the matrix itself: the raw duty cycle
+    averaged = block_average(matrix, args.block, domain=args.avg_domain)
+    reports = [duty_cycle(averaged, t) for t in thresholds]
 
     bands = sorted(enumerate(matrix.bands), key=lambda ib: ib[1].center_freq_hz)
     bands_json = [
         {"freq_mhz": band.center_freq_mhz, "label": band.label, "service": band.service,
-         "duty_cycles": [rep.per_band[i][1] for rep in reports]}
+         "duty_cycles": [rep[i] for rep in reports]}
         for i, band in bands
     ]
     lines = ["freq_mhz," + ",".join(named)]
@@ -174,6 +172,8 @@ def cmd_duty_cycle(args) -> int:
 
 
 ANALYZE_COLUMNS = ("freq_mhz", "e_rand", "e_unc", "e_actual", "pi_max", "clamped", "n")
+# the analysis flags a manifest records, with the defaults cmd_analyze fills in
+ANALYZE_DEFAULTS = {"q": 8, "strategy": Strategy.EQUAL_WIDTH.value, "block": 1, "avg_domain": "linear", "jobs": 1}
 
 
 def _csv_cell(value) -> str:
@@ -225,17 +225,20 @@ def _analyze_record_from_manifest(path) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    given = {name: value for name in ANALYZE_DEFAULTS if (value := getattr(args, name)) is not None}
     if args.from_manifest:
         if args.input is not None:
             raise ConfigError("give either an input file or --from-manifest, not both")
+        if given:
+            flags = ", ".join(f"--{name.replace('_', '-')}" for name in given)
+            raise ConfigError(f"{flags} cannot be given with --from-manifest, which records them")
         record = _analyze_record_from_manifest(args.from_manifest)
         record["service_map"] = args.service_map or record["service_map"]
     elif args.input is None:
         raise ConfigError("an input file is required (or use --from-manifest)")
     else:
         record = {
-            "command": "analyze", "inputs": [args.input], "q": args.q, "strategy": args.strategy,
-            "block": args.block, "avg_domain": args.avg_domain, "jobs": args.jobs,
+            "command": "analyze", "inputs": [args.input], **ANALYZE_DEFAULTS, **given,
             "service_map": args.service_map or None,
         }
 
@@ -362,26 +365,25 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--threshold", type=_finite_float, action="append", metavar="DBM",
                     help="detection threshold in dBm, repeatable (default: -107 and -114)")
     dc.add_argument("--block", type=int, default=1,
-                    help="block-average factor (default 1); recorded but unused with --before-average")
+                    help="block-average factor (default 1, the raw samples); duty cycle is taken after averaging")
     dc.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")
-    dc.add_argument("--before-average", action="store_true",
-                    help="compute duty cycle on raw samples instead of after block averaging")
     dc.add_argument("--service-map", help="service-map JSON sidecar")
     dc.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     dc.set_defaults(func=cmd_duty_cycle)
 
     an = sub.add_parser("analyze", help="entropy and predictability bound per band")
     an.add_argument("input", nargs="?", help="PSD trace CSV")
-    an.add_argument("--q", type=int, default=8, help=f"number of quantization levels, 1 to {MAX_Q} (default 8)")
-    an.add_argument("--strategy", choices=[s.value for s in Strategy], default=Strategy.EQUAL_WIDTH.value)
-    an.add_argument("--block", type=int, default=1, help="block-average factor (default 1)")
-    an.add_argument("--avg-domain", choices=AVG_DOMAINS, default="linear")
-    an.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for per-band analysis (at most one per band and CPU)")
+    # the analysis flags default to None, so that --from-manifest can tell a given one
+    an.add_argument("--q", type=int, help=f"number of quantization levels, 1 to {MAX_Q} (default 8)")
+    an.add_argument("--strategy", choices=[s.value for s in Strategy], help="quantization bins (default equal-width)")
+    an.add_argument("--block", type=int, help="block-average factor (default 1)")
+    an.add_argument("--avg-domain", choices=AVG_DOMAINS, help="block-average domain (default linear)")
+    an.add_argument("--jobs", type=int,
+                    help="worker processes for per-band analysis (default 1; at most one per band and CPU)")
     an.add_argument("--service-map", help="service-map JSON sidecar")
     an.add_argument("--from-manifest", metavar="REPORT_JSON",
                     help="re-run with the parameters (service map included, unless --service-map is given)"
-                         " recorded in a previous analyze report")
+                         " recorded in a previous analyze report; the other analysis flags may not be given")
     an.add_argument("--output", required=True, type=_report_path, help="output CSV path (JSON written beside it)")
     an.set_defaults(func=cmd_analyze)
 

@@ -67,18 +67,6 @@ class SpectrumMatrix:
         return PsdTrace(band=self.bands[index], samples=self.rows[:, index])
 
 
-@dataclass(frozen=True)
-class DutyCycleReport:
-    """Fraction of time slots above a detection threshold, per band."""
-
-    per_band: tuple[tuple[BandMetadata, float], ...]
-
-    def __post_init__(self) -> None:
-        for band, dc in self.per_band:
-            if not 0.0 <= dc <= 1.0:
-                raise ValueError(f"duty cycle {dc} for {band.label!r} outside [0, 1]")
-
-
 # numpy's float parser agrees with float() on these bytes, and the text stream turns every CR into a line end
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c\r"
 _ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as errors="surrogateescape" decodes it
@@ -202,15 +190,14 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
     return SpectrumMatrix(bands=matrix.bands, rows=averaged)
 
 
-def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> DutyCycleReport:
-    """Per-band fraction of slots strictly above the threshold.
+def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> tuple[float, ...]:
+    """Per-band fraction of slots strictly above the threshold, in ``matrix.bands`` order.
 
     Strict comparison: a sample exactly at the threshold counts as idle.
     """
-    if matrix.n_slots == 0:
+    if matrix.n_slots == 0:  # the mean of no slots would be NaN, with a RuntimeWarning
         raise EmptyTraceError("matrix has no time slots")
-    frac = (matrix.rows > threshold_dbm).mean(axis=0)
-    return DutyCycleReport(tuple((band, float(dc)) for band, dc in zip(matrix.bands, frac)))
+    return tuple((matrix.rows > threshold_dbm).mean(axis=0).tolist())
 
 
 # Python types that a JSON value of each kind parses to; true and false parse to bool, not int

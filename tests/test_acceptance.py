@@ -249,7 +249,7 @@ def test_criterion_8_duty_cycle_monotonicity(pipeline_run):
     _, _, matrix = pipeline_run
     strict = duty_cycle(matrix, -107.0)
     lenient = duty_cycle(matrix, -114.0)
-    ok = all(a[1] <= b[1] for a, b in zip(strict.per_band, lenient.per_band))
+    ok = len(strict) == len(lenient) == len(matrix.bands) and all(a <= b for a, b in zip(strict, lenient))
     check(8, ok, f"dc(-107) <= dc(-114) element-wise on {len(matrix.bands)} bands, exactly")
 
 

@@ -103,24 +103,26 @@ class TestDutyCycleCommand:
         # only the thresholds: the input path and the timestamp may hold "-0" themselves
         assert json.dumps(doc["thresholds"]) == json.dumps(doc["manifest"]["thresholds"]) == "[0.0]"
 
-    def test_before_average_flag(self, tmp_path):
-        # one loud sample then quiet: averaging smears it below threshold
+    def test_block_1_is_the_raw_duty_cycle(self, tmp_path):
+        # one loud sample then quiet: averaging in linear power keeps the block above threshold
         path = write_text(tmp_path / "t.csv", "614.1\n-90\n-140\n-140\n-140\n")
         raw = tmp_path / "raw.csv"
         avg = tmp_path / "avg.csv"
-        run_cli("duty-cycle", path, "--threshold", "-107", "--block", "4", "--before-average", "--output", raw)
-        run_cli("duty-cycle", path, "--threshold", "-107", "--block", "4", "--output", avg)
+        assert run_cli("duty-cycle", path, "--threshold", "-107", "--block", "1", "--output", raw) == 0
+        assert run_cli("duty-cycle", path, "--threshold", "-107", "--block", "4", "--output", avg) == 0
         assert read_csv_rows(raw)[1][0]["duty_cycle_-107"] == "0.25"
         assert read_csv_rows(avg)[1][0]["duty_cycle_-107"] == "1"
 
-    @pytest.mark.parametrize(("block", "extra"), [
-        pytest.param(block, extra, id=block + "".join(extra))
-        for extra in [(), ("--before-average",)]  # which skips block_average
-        for block in ["0", "-3"]
-    ])
-    def test_block_below_1_exit_3(self, small_csv, tmp_path, capsys, block, extra):
-        assert run_cli("duty-cycle", small_csv, "--block", block, *extra, "--output", tmp_path / "dc.csv") == 3
+    @pytest.mark.parametrize("block", ["0", "-3"])
+    def test_block_below_1_exit_3(self, small_csv, tmp_path, capsys, block):
+        assert run_cli("duty-cycle", small_csv, "--block", block, "--output", tmp_path / "dc.csv") == 3
         assert f"block must be >= 1, got {block}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+    def test_before_average_is_not_an_option(self, small_csv, tmp_path, capsys):
+        # --block 1 gives the duty cycle before averaging
+        assert run_cli("duty-cycle", small_csv, "--before-average", "--output", tmp_path / "dc.csv") == 3
+        assert "unrecognized arguments: --before-average" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
 
 
@@ -267,6 +269,18 @@ class TestAnalyzeCommand:
     def test_input_and_manifest_conflict(self, small_csv, tmp_path, capsys):
         assert run_cli("analyze", small_csv, "--from-manifest", "x.json",
                        "--output", tmp_path / "o.csv") == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--q", "2"), ("--strategy", "equal-frequency"), ("--block", "3"), ("--avg-domain", "db"), ("--jobs", "1"),
+    ])
+    def test_analysis_flag_with_manifest_exit_3(self, small_csv, tmp_path, capsys, flag, value):
+        assert run_cli("analyze", small_csv, "--output", tmp_path / "a.csv") == 0
+        before = sorted(p.name for p in tmp_path.iterdir())
+        # the value is the recorded one or a new one: either way the flag would be dropped
+        assert run_cli("analyze", "--from-manifest", tmp_path / "a.json", flag, value,
+                       "--output", tmp_path / "b.csv") == 3
+        assert f"{flag} cannot be given with --from-manifest" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_unknown_flag_exit_3(self, small_csv, tmp_path, capsys):
         assert run_cli("analyze", small_csv, "--nope", "--output", tmp_path / "o.csv") == 3

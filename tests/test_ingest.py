@@ -317,19 +317,22 @@ class TestBlockAverage:
 class TestDutyCycle:
     def test_all_below_threshold(self):
         rep = duty_cycle(matrix_of([[-120.0, -120.0]] * 5), -114.0)
-        assert [dc for _, dc in rep.per_band] == [0.0, 0.0]
+        assert rep == (0.0, 0.0)
+        assert all(type(dc) is float for dc in rep)
 
     def test_all_above_threshold(self):
-        rep = duty_cycle(matrix_of([[-90.0]] * 5), -107.0)
-        assert rep.per_band[0][1] == 1.0
+        assert duty_cycle(matrix_of([[-90.0]] * 5), -107.0) == (1.0,)
 
     def test_direct_count(self):
-        rep = duty_cycle(matrix_of([[-100.0], [-110.0], [-100.0], [-120.0]]), -107.0)
-        assert rep.per_band[0][1] == 0.5
+        assert duty_cycle(matrix_of([[-100.0], [-110.0], [-100.0], [-120.0]]), -107.0) == (0.5,)
 
     def test_sample_at_threshold_counts_idle(self):
-        rep = duty_cycle(matrix_of([[-107.0], [-106.9]]), -107.0)
-        assert rep.per_band[0][1] == 0.5
+        assert duty_cycle(matrix_of([[-107.0], [-106.9]]), -107.0) == (0.5,)
+
+    def test_no_slots_raises(self):
+        # the mean over no slots would be NaN, with a RuntimeWarning
+        with pytest.raises(EmptyTraceError):
+            duty_cycle(matrix_of(np.empty((0, 1))), -107.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -345,8 +348,8 @@ class TestDutyCycle:
         m = matrix_of(rows)
         high = duty_cycle(m, t1)
         low = duty_cycle(m, t1 - delta)
-        for (_, dc_high), (_, dc_low) in zip(high.per_band, low.per_band):
-            assert dc_high <= dc_low
+        assert len(high) == len(low) == 2
+        assert all(dc_high <= dc_low for dc_high, dc_low in zip(high, low))
 
 
 class TestServiceMap:

@@ -6,7 +6,7 @@ from tests.conftest import run_python
 # every public name the package bound when its __init__ imported each module eagerly
 PUBLIC_NAMES = [
     "BandAnalysis", "BandMetadata", "BlockLargerThanTraceError", "CdfReport", "ConfigError",
-    "DomainError", "DutyCycleReport", "EmptyInputError", "EmptySequenceError", "EmptyTraceError", "EntropyReport",
+    "DomainError", "EmptyInputError", "EmptySequenceError", "EmptyTraceError", "EntropyReport",
     "InputDataError", "InvalidStochasticMatrixError", "LevelDistribution", "LzParse", "MarkovSpec",
     "NonFiniteSampleError", "NonFiniteValueError", "NotIrreducibleError", "ParseError", "PredictabilityReport",
     "PsdTrace", "QuantizationConfig", "QuantizedTrace", "RaggedRowError", "SequenceTooShortError", "SpectropyError",
