@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Iterable
@@ -136,6 +137,12 @@ def _finite_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -107 and -107.5 as negative numbers, not -1.07e2 or -.5e1;
+        # no flag starts with a digit or a dot, so any such word is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with code 2 on usage errors; the toolkit reserves 2
     # for input data, so route usage problems through ConfigError instead.
     def error(self, message):
@@ -379,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--block", type=int, help="block-average factor (default 1)")
     an.add_argument("--avg-domain", choices=AVG_DOMAINS, help="block-average domain (default linear)")
     an.add_argument("--jobs", type=int,
-                    help="worker processes for per-band analysis (default 1; at most one per band and CPU)")
+                    help="upper bound on worker processes (default 1): at most one runs per band, per usable CPU"
+                         " and per 50,000 slots after averaging, so small inputs run in-process")
     an.add_argument("--service-map", help="service-map JSON sidecar")
     an.add_argument("--from-manifest", metavar="REPORT_JSON",
                     help="re-run with the parameters (service map included, unless --service-map is given)"

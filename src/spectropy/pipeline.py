@@ -1,16 +1,19 @@
 """Batch orchestration: matrix in, per-band entropy and predictability out.
 
-Per-band work is independent, so it fans out across worker processes
-when ``jobs > 1``, at most one per band and per CPU (processes, not
-threads: the match-length parse is pure Python and would serialize on
-the interpreter lock).  Results are reassembled in band order regardless
-of completion order, so output is deterministic for any job count.  The
-process pool is imported only when one is built, so every other run
-starts without ``multiprocessing``.
+Per-band work is independent.  With ``jobs > 1`` it fans out across
+worker processes (not threads: the match-length parse is pure Python and
+would serialize on the interpreter lock), at most one per band, per CPU
+the process may run on and per ``_SLOTS_PER_WORKER`` averaged slots, so
+that small inputs run in-process.  Each worker takes a band's metadata
+and float column and quantizes and analyzes it whole.  Results are
+reassembled in band order regardless of completion order, so output is
+deterministic for any job count.  The process pool is imported only when
+one is built, so every other run starts without ``multiprocessing``.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -18,7 +21,12 @@ from .entropy import entropy_report
 from .ingest import SpectrumMatrix, block_average
 from .predictability import band_predictability
 from .quantize import QuantizationConfig, quantize
-from .trace import BandMetadata, EntropyReport, PredictabilityReport, QuantizedTrace
+from .trace import BandMetadata, EntropyReport, PredictabilityReport, PsdTrace, QuantizedTrace
+
+# A pool costs about 50 ms to start and stop, and serial analysis about
+# 1-2.5 us per slot, so a second worker (which saves at most half the
+# serial time) pays only from about 50,000 slots on.
+_SLOTS_PER_WORKER = 50_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,17 @@ def analyze_quantized(qt: QuantizedTrace) -> BandAnalysis:
     )
 
 
+def _analyze_column(band: BandMetadata, samples, cfg: QuantizationConfig) -> BandAnalysis:
+    return analyze_quantized(quantize(PsdTrace(band=band, samples=samples), cfg))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def analyze_matrix(
     matrix: SpectrumMatrix,
     cfg: QuantizationConfig,
@@ -47,19 +66,22 @@ def analyze_matrix(
 ) -> list[BandAnalysis]:
     """Run block-average, quantize, entropy and Fano inversion per band.
 
-    Returns one BandAnalysis per band, ordered by center frequency
-    (ties keep input order).
+    ``jobs`` is an upper bound on worker processes; see the module
+    docstring for how many run.  Returns one BandAnalysis per band,
+    ordered by center frequency (ties keep input order).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     m = block_average(matrix, block, domain=avg_domain)
     order = sorted(range(len(m.bands)), key=lambda i: m.bands[i].center_freq_hz)
-    quantized = [quantize(m.band_trace(i), cfg) for i in order]
-    workers = min(jobs, len(quantized), os.cpu_count() or 1)
+    workers = min(jobs, len(order), _usable_cpus(), len(order) * m.n_slots // _SLOTS_PER_WORKER)
     if workers <= 1:
-        return [analyze_quantized(qt) for qt in quantized]
+        # one band at a time, so only one band's levels are alive
+        return [analyze_quantized(quantize(m.band_trace(i), cfg)) for i in order]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(quantized) // (workers * 4))
-        return list(pool.map(analyze_quantized, quantized, chunksize=chunk))
+        chunk = max(1, len(order) // (workers * 4))
+        bands = [m.bands[i] for i in order]
+        columns = [m.rows[:, i] for i in order]
+        return list(pool.map(_analyze_column, bands, columns, itertools.repeat(cfg), chunksize=chunk))

@@ -119,6 +119,18 @@ class TestDutyCycleCommand:
         assert f"block must be >= 1, got {block}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
 
+    @pytest.mark.parametrize("written, plain", [("-1.07e2", "-107"), ("-.5e1", "-5")])
+    def test_negative_threshold_with_exponent(self, small_csv, tmp_path, written, plain):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("duty-cycle", small_csv, "--threshold", written, "--output", a) == 0
+        assert run_cli("duty-cycle", small_csv, "--threshold", plain, "--output", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_mistyped_flag_before_a_negative_number_exit_3(self, small_csv, tmp_path, capsys):
+        assert run_cli("duty-cycle", small_csv, "--thresold", "-1.07e2", "--output", tmp_path / "dc.csv") == 3
+        assert "unrecognized arguments: --thresold -1.07e2" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
     def test_before_average_is_not_an_option(self, small_csv, tmp_path, capsys):
         # --block 1 gives the duty cycle before averaging
         assert run_cli("duty-cycle", small_csv, "--before-average", "--output", tmp_path / "dc.csv") == 3
@@ -515,6 +527,12 @@ class TestSynthCommand:
         run_cli("synth", "--model", "gaussian", "--n", "3360", "--seed", "7", "--output", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_mean_with_exponent(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("synth", "--model", "gaussian", "--n", "50", "--mean-dbm", "-1e2", "--output", a) == 0
+        assert run_cli("synth", "--model", "gaussian", "--n", "50", "--mean-dbm", "-100", "--output", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_rows_hold_generator_values(self, tmp_path):
         run_cli("synth", "--model", "gaussian", "--n", "500", "--bands", "3", "--seed", "4",
                 "--output", tmp_path / "g.csv")
@@ -765,8 +783,10 @@ class TestModuleInvocation:
             (["duty-cycle", "{dir}/t.csv", "--output", "{dir}/dc.csv"], ["concurrent.futures.process"]),
             (["synth", "--model", "iid", "--n", "20", "--output", "{dir}/s.csv"], ["concurrent.futures.process"]),
             (["analyze", "{dir}/t.csv", "--jobs", "1", "--output", "{dir}/an2.csv"], ["concurrent.futures.process"]),
+            # 8 slots are far too few to pay for a pool
+            (["analyze", "{dir}/t.csv", "--jobs", "2", "--output", "{dir}/an2.csv"], ["concurrent.futures.process"]),
         ],
-        ids=["version", "cdf", "duty-cycle", "synth", "analyze-jobs-1"],
+        ids=["version", "cdf", "duty-cycle", "synth", "analyze-jobs-1", "analyze-jobs-2"],
     )
     def test_commands_start_without_modules_they_do_not_use(self, tmp_path, command, unused):
         trace = write_text(tmp_path / "t.csv", "614.1,614.3\n-100,-120\n-110,-121\n-100,-119\n")
