@@ -46,6 +46,7 @@ from .ingest import (
     AVG_DOMAINS,
     block_average,
     duty_cycle,
+    json_constant,
     json_value,
     load_matrix,
     load_service_map,
@@ -193,7 +194,7 @@ def _analyze_record_from_manifest(path) -> dict:
     """The parameter record an analyze report was written with, checked before any file is opened."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=json_constant)
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise ParseError(1, f"{path}: not a JSON manifest ({exc})") from None
     manifest = doc.get("manifest", doc) if isinstance(doc, dict) else doc
@@ -273,9 +274,9 @@ def cmd_cdf(args) -> int:
     for path in args.inputs:
         try:
             with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_constant=json_constant)
             bands = list(doc["bands"])
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError: also invalid JSON, not UTF-8
             raise ParseError(1, f"{path}: not an analyze JSON report ({exc})") from None
         for b in bands:
             try:
@@ -327,37 +328,40 @@ def cmd_synth(args) -> int:
 
     if args.bands < 1:
         raise ConfigError(f"--bands must be >= 1, got {args.bands}")
-    header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]
-    try:  # checked as written, since rounding can overflow
-        parse_header(",".join(header), 1)
-    except ParseError as exc:  # load_matrix would reject the file
-        raise ConfigError(f"band {exc.reason}") from None
     try:
-        if args.model == "markov":
-            if not args.spec:
-                raise ConfigError("--spec is required for the markov model")
-            spec = markov_spec_from_json(args.spec)
-            columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels
-                       for k in range(args.bands)]
-        elif args.model == "periodic":
-            if not args.pattern:
-                raise ConfigError("--pattern is required for the periodic model")
-            columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
-        elif args.model == "gaussian":
-            columns = [
-                gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
-                for k in range(args.bands)
-            ]
-        else:
-            columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
-    except MemoryError:  # numpy's failed allocations are MemoryErrors too
-        size = f"--repeats {args.repeats}" if args.model == "periodic" else f"--n {args.n}"
-        raise ConfigError(f"{size} is too large: the samples of a band do not fit in memory") from None
+        header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]
+        try:  # checked as written, since rounding can overflow
+            parse_header(",".join(header), 1)
+        except ParseError as exc:  # load_matrix would reject the file
+            raise ConfigError(f"band {exc.reason}") from None
+        try:
+            if args.model == "markov":
+                if not args.spec:
+                    raise ConfigError("--spec is required for the markov model")
+                spec = markov_spec_from_json(args.spec)
+                columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels
+                           for k in range(args.bands)]
+            elif args.model == "periodic":
+                if not args.pattern:
+                    raise ConfigError("--pattern is required for the periodic model")
+                columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
+            elif args.model == "gaussian":
+                columns = [
+                    gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
+                    for k in range(args.bands)
+                ]
+            else:
+                columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
+        except MemoryError:  # numpy's failed allocations are MemoryErrors too
+            size = f"--repeats {args.repeats}" if args.model == "periodic" else f"--n {args.n}"
+            raise ConfigError(f"{size} is too large: the samples of a band do not fit in memory") from None
 
-    # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
-    row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"
-    rows = (row_fmt % row for row in zip(*columns))
-    _atomic_write({args.output: itertools.chain([",".join(header) + "\n"], rows)})
+        # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
+        row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"
+        rows = (row_fmt % row for row in zip(*columns))
+        _atomic_write({args.output: itertools.chain([",".join(header) + "\n"], rows)})
+    except MemoryError:  # the header and every row hold one cell per band
+        raise ConfigError(f"--bands {args.bands} is too large: the header or a row does not fit in memory") from None
     print(f"wrote {args.output} ({args.bands} bands x {len(columns[0])} rows)")
     return 0
 

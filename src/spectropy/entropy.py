@@ -7,19 +7,15 @@ naive quadratic reference and ``lz_parse_fast`` must return bit-identical
 output, so the whole correctness burden sits on the simple code and the
 fast path is validated purely by differential testing.
 
-``lz_parse_fast`` has two stages.  Class refinement settles the match
-lengths of noisy bands in a few rounds of numpy work.  Bands whose
-symbol entropy is too low for it to pay (constant, idle, beacon), and
-bands on which it overruns its round cap or its work budget of a fixed
-multiple of n (long periodic stretches), go to a suffix automaton on
-integer states and preallocated flat lists, with a dict in place of the
-flat table for large alphabets.  Both stages are O(n) in time and memory
-on every input and alphabet, apart from a sort of the labels when
-refinement meets a wide alphabet.
+``lz_parse_fast`` has two stages: class refinement in numpy rounds,
+within a work budget of a fixed multiple of n positions, and a suffix
+automaton on integer states for the bands where refinement would not pay
+or overruns that budget.  Both are O(n) in time and memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -45,14 +41,13 @@ class LzParse:
     lambdas: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.lambdas)
-        if n == 0:
-            raise ValueError("parse of an empty sequence is undefined")
         arr = np.asarray(self.lambdas, dtype=np.int64)
-        if self.lambdas[0] != 1:
-            raise ValueError("first match length must be 1 (empty past)")
+        n = len(arr)
+        if n == 0 or arr[0] != 1:
+            raise ValueError("a parse starts with match length 1 (empty past)")
         if (arr < 1).any() or (arr + np.arange(n) > n + 1).any():
             raise ValueError("match lengths violate their positional bounds")
+        object.__setattr__(self, "lambdas", tuple(arr.tolist()))
 
     def total(self) -> int:
         return int(sum(self.lambdas))
@@ -87,16 +82,11 @@ def lz_parse(levels) -> LzParse:
         while i + length < n and past.find(text[i : i + length + 1]) != -1:
             length += 1
         lambdas.append(length + 1)
-    return LzParse(tuple(lambdas))
+    return LzParse(lambdas)
 
 
 _FLAT_MAX_SIGMA = 16
-# A band is refined only if log2(n) over its symbol entropy is below
-# _PRECHECK_ROUNDS.  Refinement hands it to the automaton past
-# _REFINE_MAX_ROUNDS rounds, or once its working sets sum to more than
-# _REFINE_WORK * n positions.
 _PRECHECK_ROUNDS = 12
-_REFINE_MAX_ROUNDS = 40
 _REFINE_WORK = 16
 _TABLE_PER_POSITION = 4
 
@@ -108,12 +98,12 @@ def lz_parse_fast(levels) -> LzParse:
     one symbol of match length per round.  It is skipped when log2(n)
     over the symbol entropy H1 exceeds ``_PRECHECK_ROUNDS``, as on
     constant, idle and beacon bands, whose matches run long; it gives up
-    after ``_REFINE_MAX_ROUNDS`` rounds, or once its working sets sum to
-    more than ``_REFINE_WORK * n`` positions, as on periodic stretches.
-    Then the second stage, the suffix automaton ``_automaton``, parses
-    the whole band.  Each stage does O(n) work and holds O(n) memory on
-    every input and alphabet, so the parse does too (refinement sorts
-    its labels, O(n log n), only on wide alphabets).
+    once its working sets sum to more than ``_REFINE_WORK * n``
+    positions, as on periodic stretches.  Then the second stage, the
+    suffix automaton ``_automaton``, parses the whole band.  Each stage
+    does O(n) work and holds O(n) memory on every input and alphabet, so
+    the parse does too (refinement sorts its labels, O(n log n), only on
+    wide alphabets).
     """
     seq = _symbol_ids(levels)
     n = len(seq)
@@ -123,16 +113,13 @@ def lz_parse_fast(levels) -> LzParse:
     arr = np.fromiter(seq, dtype=np.int64, count=n)
     counts = np.bincount(arr).tolist()
     h1 = math.log2(n) - sum(c * math.log2(c) for c in counts) / n  # bits per symbol
-    if h1 * _PRECHECK_ROUNDS > math.log2(n):
-        lambdas = _refine(arr, len(counts), _REFINE_MAX_ROUNDS, _REFINE_WORK * n)
-        if lambdas is not None:
-            return LzParse(tuple(lambdas.tolist()))
-    return LzParse(tuple(_automaton(seq, len(counts))))
+    lambdas = _refine(arr, len(counts), _REFINE_WORK * n) if h1 * _PRECHECK_ROUNDS > math.log2(n) else None
+    return LzParse(_automaton(seq, len(counts)) if lambdas is None else lambdas)
 
 
-def _refine(arr: np.ndarray, sigma: int, max_rounds: int, budget: int) -> np.ndarray | None:
+def _refine(arr: np.ndarray, sigma: int, budget: int) -> np.ndarray | None:
     """Match lengths of ``arr`` (symbols 0..sigma-1) by class refinement,
-    or None past ``max_rounds`` rounds or ``budget`` positions of work.
+    or None once its working sets sum to more than ``budget`` positions.
 
     This is Karp, Miller & Rosenberg's renaming, one symbol per round,
     applied to the longest previous non-overlapping factor (Crochemore &
@@ -143,9 +130,12 @@ def _refine(arr: np.ndarray, sigma: int, max_rounds: int, budget: int) -> np.nda
     end settles at n - i + 1.  A label keeps all its positions in the
     working set while some position passed with it, since only a passing
     position needs a witness in the next round; every other position
-    leaves.  Labels index a dense table of first positions while
-    (label, symbol) pairs number at most ``_TABLE_PER_POSITION`` per
-    working position; past that, ``np.unique`` relabels the pairs.
+    leaves.  A position alive at round R keeps R - l + 1 positions alive
+    at each round l, since lambda_{i+1} >= lambda_i - 1, so the budget
+    alone bounds the rounds by sqrt(2 * budget).  Labels index a dense
+    table of first positions while (label, symbol) pairs number at most
+    ``_TABLE_PER_POSITION`` per working position; past that,
+    ``np.unique`` relabels the pairs.
     """
     n = len(arr)
     lambdas = np.empty(n, dtype=np.int64)
@@ -154,7 +144,7 @@ def _refine(arr: np.ndarray, sigma: int, max_rounds: int, budget: int) -> np.nda
     nkeys = sigma
     alive = np.ones(n, dtype=bool)  # matched its first l - 1 symbols
     work = 0
-    for length in range(1, max_rounds + 1):
+    for length in itertools.count(1):
         work += len(pos)
         if work > budget:
             return None
@@ -179,7 +169,6 @@ def _refine(arr: np.ndarray, sigma: int, max_rounds: int, budget: int) -> np.nda
         if nkeys > _TABLE_PER_POSITION * len(pos):
             pairs, key = np.unique(key, return_inverse=True)
             nkeys = len(pairs)
-    return None
 
 
 def _automaton(seq: list[int], sigma: int) -> list[int]:

@@ -211,11 +211,16 @@ def json_value(value, kind: str, name: str):
     return value
 
 
+def json_constant(token: str):
+    """``parse_constant`` for ``json.load``: Python reads NaN, Infinity and -Infinity, which JSON does not have."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_service_map(path) -> dict[str, tuple[float, float]]:
     """Read a sidecar JSON mapping service names to [lo_mhz, hi_mhz]."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=json_constant)
     except ValueError as exc:  # invalid JSON or not UTF-8
         raise ParseError(1, f"{path}: not a JSON service map ({exc})") from None
     if not isinstance(raw, dict):

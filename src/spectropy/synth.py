@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidStochasticMatrixError, NotIrreducibleError
-from .ingest import json_value
+from .ingest import json_constant, json_value
 from .trace import BandMetadata, PsdTrace, QuantizedTrace
 
 _STOCHASTIC_TOL = 1e-12
@@ -44,14 +44,14 @@ class MarkovSpec:
         p = np.asarray(self.transition, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] == 0:
             raise InvalidStochasticMatrixError("transition matrix must be square and non-empty")
-        if (p < 0).any():
+        if not (p >= 0).all():  # each check is written so that NaN fails it
             raise InvalidStochasticMatrixError("transition probabilities must be non-negative")
-        if (np.abs(p.sum(axis=1) - 1.0) > _STOCHASTIC_TOL).any():
+        if not (np.abs(p.sum(axis=1) - 1.0) <= _STOCHASTIC_TOL).all():
             raise InvalidStochasticMatrixError("every transition row must sum to 1")
         init = np.asarray(self.initial, dtype=np.float64)
         if init.shape != (p.shape[0],):
             raise InvalidStochasticMatrixError("initial distribution length must match the matrix")
-        if (init < 0).any() or abs(float(init.sum()) - 1.0) > _STOCHASTIC_TOL:
+        if not ((init >= 0).all() and abs(float(init.sum()) - 1.0) <= _STOCHASTIC_TOL):
             raise InvalidStochasticMatrixError("initial distribution must be a probability vector")
 
     @property
@@ -63,7 +63,7 @@ def markov_spec_from_json(path) -> MarkovSpec:
     """Read a MarkovSpec from a JSON file with keys matrix, initial, seed."""
     try:
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+            d = json.load(fh, parse_constant=json_constant)
         return MarkovSpec(
             transition=tuple(tuple(json_value(x, "number", "matrix entry") for x in row) for row in d["matrix"]),
             initial=tuple(json_value(x, "number", "initial entry") for x in d["initial"]),

@@ -99,9 +99,9 @@ class LevelDistribution:
         if not self.probabilities:
             raise ValueError("distribution needs at least one probability")
         p = np.asarray(self.probabilities, dtype=np.float64)
-        if (p < 0).any() or (p > 1).any():
+        if not ((p >= 0) & (p <= 1)).all():  # NaN fails this
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
 
     @property
@@ -126,7 +126,7 @@ class EntropyReport:
             raise ValueError(f"e_rand must equal log2(q)={math.log2(self.q)}, got {self.e_rand}")
         if not 0.0 <= self.e_unc <= self.e_rand:
             raise ValueError(f"e_unc={self.e_unc} outside [0, {self.e_rand}]")
-        if self.e_actual < 0.0:
+        if not self.e_actual >= 0.0:  # NaN fails this
             raise ValueError(f"e_actual must be non-negative, got {self.e_actual}")
 
 

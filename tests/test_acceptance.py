@@ -206,8 +206,8 @@ def test_criterion_5_differential_lz():
         5,
         True,
         f"{len(sizes)} random sequences up to n=5000, q<=16, and {len(adversarial)} adversarial "
-        "ones (constant, periods 1-16, Fibonacci, Thue-Morse, bursts, one change, idle-like), "
-        "element-wise equal",
+        "ones (constant, periods 1-16, Fibonacci, Thue-Morse, bursts, one change, idle-like, "
+        "noise with a planted repeat), element-wise equal",
     )
 
 

@@ -331,6 +331,11 @@ class TestAnalyzeCommand:
             b' "avg_domain": "db"}',
             b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": "1",'
             b' "avg_domain": "db"}',
+            # tokens that are not JSON, even in a report's band entries
+            b'{"manifest": {"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width",'
+            b' "block": 1, "avg_domain": "db"}, "bands": [{"e_actual": NaN}]}',
+            b'{"command": "analyze", "inputs": ["t.csv"], "q": 8, "strategy": "equal-width", "block": 1,'
+            b' "avg_domain": "db", "created_utc": -Infinity}',
         ],
     )
     def test_unusable_manifest_exit_2(self, tmp_path, capsys, content):
@@ -353,6 +358,9 @@ class TestAnalyzeCommand:
             b'{"TV": [614, 698, 5]}',
             b'{"TV": "19"}',
             b'{"TV": [614]}',
+            # Python's json reads these tokens, which are not JSON; the first put every band in TV
+            b'{"TV": [-Infinity, Infinity]}',
+            b'{"TV": [NaN, 698.0]}',
         ],
     )
     def test_bad_service_map_exit_2(self, small_csv, tmp_path, capsys, content):
@@ -473,8 +481,11 @@ class TestCdfCommand:
             {"bands": 5},
             {"bands": [{**BAND_ENTRY, "service": [1]}]},
             {"bands": [{**BAND_ENTRY, "pi_max": 10**400}]},
+            # json.dumps writes these as NaN and Infinity, which are not JSON
+            {"bands": [{**BAND_ENTRY, "entropy_used": float("nan")}]},
+            {"bands": [{**BAND_ENTRY, "freq_mhz": float("inf")}]},
         ],
-        ids=["bands-not-a-list", "service-not-a-string", "pi-max-overflows"],
+        ids=["bands-not-a-list", "service-not-a-string", "pi-max-overflows", "nan", "infinity"],
     )
     def test_report_of_wrong_shape_exit_2(self, tmp_path, capsys, doc):
         bad = write_text(tmp_path / "bad.json", json.dumps(doc))
@@ -593,6 +604,10 @@ class TestSynthCommand:
             b'{"matrix": [[0, 1], [1, false]], "initial": [0.5, 0.5], "seed": 1}',
             b'{"matrix": [[1.0]], "initial": [true], "seed": 1}',
             b'{"matrix": [["1.0"]], "initial": [1.0], "seed": 1}',
+            # tokens that are not JSON; the first two wrote a trace
+            b'{"matrix": [[NaN, NaN], [0.5, 0.5]], "initial": [0.5, 0.5], "seed": 1}',
+            b'{"matrix": [[1.0]], "initial": [NaN], "seed": 1}',
+            b'{"matrix": [[Infinity]], "initial": [1.0], "seed": 1}',
         ],
     )
     def test_malformed_markov_spec_exit_3(self, tmp_path, capsys, content):
@@ -656,6 +671,34 @@ class TestSynthCommand:
         proc = run_python("-c", script, "synth", *flags, "--output", str(tmp_path / "o.csv"))
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == f"error: Config: {size} is too large: the samples of a band do not fit in memory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["header", "rows"])
+    def test_bands_beyond_memory_exit_3(self, tmp_path, capsys, monkeypatch, where):
+        # In a child capped at 2 GiB, --n 1 --bands 100000000 runs out of memory in the header
+        # after about 20 s; the same MemoryError is raised here where the header or a row is built.
+        import spectropy.cli as cli
+
+        def no_memory(*args):
+            raise MemoryError
+
+        def write_header_only(files):
+            def pieces(it):
+                yield next(it)
+                raise MemoryError
+
+            real_write({path: pieces(iter(p)) for path, p in files.items()})
+
+        real_write = cli._atomic_write
+        if where == "header":
+            monkeypatch.setattr(cli, "_fmt", no_memory)
+        else:
+            monkeypatch.setattr(cli, "_atomic_write", write_header_only)
+        out = tmp_path / "o.csv"
+        assert run_cli("synth", "--model", "gaussian", "--n", "1", "--bands", "100", "--output", out) == 3
+        assert capsys.readouterr().err == (
+            "error: Config: --bands 100 is too large: the header or a row does not fit in memory\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from spectropy import (
     EmptySequenceError,
     EmptyTraceError,
     LevelDistribution,
+    LzParse,
     PsdTrace,
     QuantizationConfig,
     SequenceTooShortError,
@@ -70,11 +71,24 @@ def thue_morse_word(n):
     return [bin(k).count("1") % 2 for k in range(n)]
 
 
+def noise_with_repeat(length, n=2000, seed=HOUSE_SEED):
+    """i.i.d. uniform over 8 levels, with a copy of an early stretch of
+    ``length`` symbols planted 500 symbols before the end and followed by
+    a symbol that ends the match there."""
+    seq = np.random.default_rng(seed).integers(0, 8, n)
+    seq[n - 500 : n - 500 + length] = seq[200 : 200 + length]
+    seq[n - 500 + length] = (seq[200 + length] + 1) % 8
+    return seq.tolist()
+
+
 def adversarial_sequences(seed=0):
     """(name, sequence) pairs of the low-entropy shapes real idle,
     constant and periodic bands take, where a match-length parse that
     carries its match from one position to the next is most likely to
-    slip: long matches, overlapping periodic matches and runs that end."""
+    slip: long matches, overlapping periodic matches and runs that end.
+    Noise with one long repeat planted in it has a single long match, which
+    refinement settles one round per symbol within its work budget or
+    hands to the automaton past it."""
     rng = np.random.default_rng(seed)
     cases = [(f"constant n={n}", [0] * n) for n in (1, 2, 3, 7, 64, 500, 1500)]
     for p in range(1, 17):
@@ -95,6 +109,8 @@ def adversarial_sequences(seed=0):
     for p_other in (0.002, 0.01, 0.05):
         idle = np.where(rng.random(1500) < p_other, rng.integers(1, 8, 1500), 0)
         cases.append((f"idle-like, {p_other:.1%} other levels", idle.tolist()))
+    for length in (1, 10, 40, 100, 200, 400):
+        cases.append((f"noise with a repeat of {length}", noise_with_repeat(length, seed=seed)))
     return cases
 
 
@@ -140,6 +156,19 @@ class TestLzParseOracle:
         seq = [10_000, 20_000, 10_000, 20_000, 10_000]
         assert lz_parse(seq).lambdas == tiny_reference_lambdas(seq)
         assert lz_parse(seq).lambdas == lz_parse([0, 1, 0, 1, 0]).lambdas
+
+
+class TestLzParseValue:
+    def test_lambdas_become_a_tuple_of_ints(self):
+        for lambdas in ([1, 1, 2], np.array([1, 1, 2], dtype=np.int32), (1, 1, 2)):
+            lams = LzParse(lambdas).lambdas
+            assert lams == (1, 1, 2)
+            assert type(lams) is tuple and all(type(lam) is int for lam in lams)
+
+    @pytest.mark.parametrize("lambdas", [(), (2,), (1, 0), (1, 3), (1, 1, 3)])
+    def test_impossible_lambdas_rejected(self, lambdas):
+        with pytest.raises(ValueError):
+            LzParse(lambdas)
 
 
 class TestLzParseFastDifferential:
@@ -231,43 +260,27 @@ class TestLzParseFastWorstCase:
 
 
 def refine_uncapped(seq):
-    """The class-refinement stage alone, with its round cap and work
-    budget lifted so that it never hands over to the automaton."""
+    """The class-refinement stage alone, with its work budget lifted so
+    that it never hands over to the automaton."""
     n = len(seq)
-    lams = entropy_module._refine(np.array(seq, dtype=np.int64), max(seq) + 1, n + 1, n * (n + 1))
+    lams = entropy_module._refine(np.array(seq, dtype=np.int64), max(seq) + 1, n * (n + 1))
     return tuple(lams.tolist())
 
 
 def refine_cost(seq):
-    """(rounds, work): the least round cap and the least work budget
-    under which class refinement finishes on ``seq``."""
+    """The least work budget under which class refinement finishes on
+    ``seq``."""
     arr, sigma, n = np.array(seq, dtype=np.int64), max(seq) + 1, len(seq)
-
-    def least(finishes, hi):
-        lo = 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if finishes(mid) else (mid + 1, hi)
-        return lo
-
-    rounds = least(lambda r: entropy_module._refine(arr, sigma, r, n * (n + 1)) is not None, n + 1)
-    work = least(lambda b: entropy_module._refine(arr, sigma, n + 1, b) is not None, n * (n + 1))
-    return rounds, work
+    lo, hi = 1, n * (n + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if entropy_module._refine(arr, sigma, mid) is not None else (mid + 1, hi)
+    return lo
 
 
 def ones_at_random(n, k):
     seq = np.zeros(n, dtype=np.int64)
     seq[np.random.default_rng(HOUSE_SEED).permutation(n)[:k]] = 1
-    return seq.tolist()
-
-
-def noise_with_repeat(length, n=2000):
-    """i.i.d. uniform over 8 levels, with a copy of an early stretch of
-    ``length`` symbols planted 500 symbols before the end and followed by
-    a symbol that ends the match there."""
-    seq = np.random.default_rng(HOUSE_SEED).integers(0, 8, n)
-    seq[n - 500 : n - 500 + length] = seq[200 : 200 + length]
-    seq[n - 500 + length] = (seq[200 + length] + 1) % 8
     return seq.tolist()
 
 
@@ -308,8 +321,8 @@ def stages(monkeypatch):
 class TestLzParseFastRefinement:
     """lz_parse_fast settles match lengths by class refinement and hands
     low-entropy bands to the automaton: before any round when log2(n)
-    over the symbol entropy exceeds 12, or once refinement passes 40
-    rounds or 16 n positions of work."""
+    over the symbol entropy exceeds 12, or once refinement passes 16 n
+    positions of work, however few or many rounds that takes."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=300))
@@ -333,8 +346,8 @@ class TestLzParseFastRefinement:
         [
             pytest.param(ones_at_random(1024, 270), ["_automaton"], id="pre-check-H1-0.8322"),
             pytest.param(ones_at_random(1024, 271), ["_refine"], id="pre-check-H1-0.8337"),
-            pytest.param(noise_with_repeat(39), ["_refine"], id="40-rounds"),
-            pytest.param(noise_with_repeat(40), ["_refine", "_automaton"], id="41-rounds"),
+            pytest.param(noise_with_repeat(39), ["_refine"], id="refines-in-40-rounds"),
+            pytest.param(noise_with_repeat(40), ["_refine"], id="refines-past-40-rounds"),
             pytest.param([k % 4 for k in range(42)], ["_refine"], id="work-16n-minus-5"),
             pytest.param([k % 4 for k in range(43)], ["_refine", "_automaton"], id="work-16n-plus-5"),
         ],
@@ -348,10 +361,12 @@ class TestLzParseFastRefinement:
         for k, h1 in ((270, 0.8322), (271, 0.8337)):
             p = k / 1024
             assert -(p * math.log2(p) + (1 - p) * math.log2(1 - p)) == pytest.approx(h1, abs=1e-4)
-        assert refine_cost(noise_with_repeat(39))[0] == 40
-        assert refine_cost(noise_with_repeat(40))[0] == 41
-        assert refine_cost([k % 4 for k in range(42)]) == (21, 16 * 42 - 5)
-        assert refine_cost([k % 4 for k in range(43)]) == (21, 16 * 43 + 5)
+        # Refinement runs one round per symbol of the longest match.
+        assert max(lz_parse(noise_with_repeat(39)).lambdas) == 40
+        assert max(lz_parse(noise_with_repeat(40)).lambdas) == 41
+        assert refine_cost(noise_with_repeat(40)) < 16 * 2000
+        assert refine_cost([k % 4 for k in range(42)]) == 16 * 42 - 5
+        assert refine_cost([k % 4 for k in range(43)]) == 16 * 43 + 5
 
     def test_noise_floor_band_needs_no_automaton(self, monkeypatch):
         # A week of 180 s slots of N(-100, 5) dBm at q = 8, the paper's

@@ -102,6 +102,16 @@ class TestGenMarkov:
         with pytest.raises(InvalidStochasticMatrixError):
             MarkovSpec(((0.5, 0.5),), (1.0,), seed=0)
 
+    @pytest.mark.parametrize(
+        "transition, initial",
+        [(((math.nan, math.nan), (0.5, 0.5)), (0.5, 0.5)), (((0.5, 0.5), (0.5, 0.5)), (math.nan, 1.0))],
+        ids=["matrix", "initial"],
+    )
+    def test_rejects_nan(self, transition, initial):
+        # markov_entropy_rate raised numpy's LinAlgError on the first
+        with pytest.raises(InvalidStochasticMatrixError):
+            MarkovSpec(transition, initial, seed=1)
+
 
 class TestStationaryAndEntropyRate:
     def test_deterministic_cycle_has_zero_rate(self):

@@ -104,6 +104,11 @@ class TestLevelDistribution:
         with pytest.raises(ValueError):
             LevelDistribution((1.5, -0.5))
 
+    def test_nan_rejected(self):
+        # shannon_entropy gave -0.0 bits for it
+        with pytest.raises(ValueError):
+            LevelDistribution((math.nan,))
+
     def test_q_is_length(self):
         assert LevelDistribution((0.25, 0.75)).q == 2
 
@@ -120,6 +125,10 @@ class TestReports:
             EntropyReport(e_rand=3.0, e_unc=3.5, e_actual=0.5, n=10, q=8)
         with pytest.raises(ValueError):
             EntropyReport(e_rand=3.0, e_unc=1.0, e_actual=-0.1, n=10, q=8)
+
+    def test_entropy_report_rejects_nan(self):
+        with pytest.raises(ValueError):
+            EntropyReport(e_rand=3.0, e_unc=1.0, e_actual=math.nan, n=10, q=8)
 
     def test_predictability_report_range(self):
         with pytest.raises(ValueError):
