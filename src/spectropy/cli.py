@@ -38,6 +38,7 @@ from . import __version__
 from .errors import (
     ConfigError,
     InputDataError,
+    NonFiniteSampleError,
     ParseError,
     SpectropyError,
     error_name,
@@ -344,12 +345,21 @@ def cmd_synth(args) -> int:
             elif args.model == "periodic":
                 if not args.pattern:
                     raise ConfigError("--pattern is required for the periodic model")
-                columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
+                try:
+                    columns = [gen_periodic(_parse_pattern(args.pattern), args.repeats).levels] * args.bands
+                except OverflowError:  # the band is longer than an index can count, or a level is past int64
+                    if args.repeats > sys.maxsize:
+                        raise ConfigError(f"--repeats {args.repeats} is too large for the length of a band") from None
+                    raise ConfigError(f"--pattern {args.pattern} has a level too large for a 64-bit integer") from None
             elif args.model == "gaussian":
-                columns = [
-                    gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
-                    for k in range(args.bands)
-                ]
+                try:
+                    columns = [
+                        gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
+                        for k in range(args.bands)
+                    ]
+                except NonFiniteSampleError as exc:  # a draw past the float range
+                    flags = f"--mean-dbm {args.mean_dbm} and --sigma-db {args.sigma_db}"
+                    raise ConfigError(f"{flags} draw a {exc}") from None
             else:
                 columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
         except MemoryError:  # numpy's failed allocations are MemoryErrors too

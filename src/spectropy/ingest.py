@@ -5,20 +5,21 @@ frequencies in MHz, every following line is one time slot of PSD values
 in dBm with the same field count, ``#`` lines and blank lines are
 skipped, decimal point is ``.``, LF, CRLF and a bare CR each end a line,
 and the file is UTF-8 text, with or without a leading byte-order mark.
-Plain ASCII is read by numpy's parser; anything else (or anything numpy
-rejects, such as a comment or whitespace-only line among the rows) is
-read by the line reader, with the same errors.  Both read one
-universal-newline text stream over the file and hold the matrix plus
-one read buffer: the line reader puts every value into one flat buffer
-that becomes the matrix without a copy.  Block averaging in linear
-power converts one bounded stretch of blocks to mW at a time.  numpy is
-imported by the functions that build arrays, so the service-map reader
-and the header parser load without it.
+Whitespace is what ``str.strip()`` removes, around a value as on a
+blank line.  ``load_matrix`` opens one universal-newline text stream
+over the file, finds the header and hands the rest to numpy's parser.
+A file numpy rejects (a comment or whitespace-only line among the rows,
+say) is read again by the line reader, which raises every error with
+its line number.  A load holds the matrix plus one read buffer: the
+line reader puts every value into one flat buffer that becomes the
+matrix without a copy.  Block averaging in linear power converts one
+bounded stretch of blocks to mW at a time.  numpy is imported by the
+functions that build arrays, so the service-map reader and the header
+parser load without it.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -67,10 +68,7 @@ class SpectrumMatrix:
         return PsdTrace(band=self.bands[index], samples=self.rows[:, index])
 
 
-# numpy's float parser agrees with float() on these bytes, and the text stream turns every CR into a line end
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\x0b\x0c\r"
 _ESCAPED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as errors="surrogateescape" decodes it
-_READ_BLOCK = 1 << 16  # bytes read at a time by the plain-bytes check
 _STRETCH = 1 << 16  # values block_average holds in mW at a time
 AVG_DOMAINS = ("linear", "db")  # what block_average's domain may be
 
@@ -82,20 +80,18 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
     """
     import numpy as np
 
-    with open(path, "rb") as fh:
-        if not any(block.translate(None, _PLAIN_BYTES) for block in iter(lambda: fh.read(_READ_BLOCK), b"")):
-            fh.seek(0)
-            lines = io.TextIOWrapper(fh, encoding="ascii", newline=None)  # LF, CRLF and a bare CR end a line
-            try:
-                lineno, line = next(_content_lines(lines))
-                bands = parse_header(line.rstrip("\n"), lineno, service_map)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
-                    rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
-                    return SpectrumMatrix(bands=bands, rows=rows)
-            except (StopIteration, ValueError, Warning):
-                pass
+    # universal newlines end a line at LF, CRLF and a bare CR; a leading BOM is dropped
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:
+        try:
+            lineno, line = next(_content_lines(lines))
+            bands = parse_header(line.rstrip("\n"), lineno, service_map)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
+                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
+                return SpectrumMatrix(bands=bands, rows=rows)
+        except (StopIteration, ValueError, Warning):
+            pass
     return _scan_matrix(path, service_map)
 
 
@@ -112,7 +108,7 @@ def parse_header(line: str, lineno: int, service_map=None) -> tuple[BandMetadata
     bands = []
     for tok in line.split(","):
         try:
-            mhz = float(tok)
+            mhz = float(tok.strip())
         except ValueError:
             raise ParseError(lineno, f"bad frequency {tok!r} in header") from None
         if not 0 < mhz * 1e6 < math.inf:
@@ -128,8 +124,7 @@ def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
 
     bands: tuple[BandMetadata, ...] | None = None
     data = array("d")
-    # universal newlines end a line at LF, CRLF and a bare CR; a leading BOM is dropped
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:  # the stream load_matrix reads
         for lineno, line in _content_lines(lines):
             line = line.rstrip("\n")
             if bands is None:
@@ -141,8 +136,11 @@ def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
             for col, tok in enumerate(fields, start=1):
                 try:
                     v = float(tok)
-                except ValueError:
-                    raise ParseError(lineno, f"bad value {tok!r} in column {col}") from None
+                except ValueError:  # float() keeps some of what str.strip() removes, such as \x1c-\x1f
+                    try:
+                        v = float(tok.strip())
+                    except ValueError:
+                        raise ParseError(lineno, f"bad value {tok!r} in column {col}") from None
                 if not math.isfinite(v):
                     raise NonFiniteValueError(lineno, col)
                 data.append(v)

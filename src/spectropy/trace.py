@@ -82,9 +82,6 @@ class QuantizedTrace:
         if arr.size and (arr.min() < 0 or arr.max() > self.q - 1):
             raise ValueError(f"levels must lie in [0, {self.q - 1}]")
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 @dataclass(frozen=True)
 class LevelDistribution:

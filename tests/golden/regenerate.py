@@ -76,6 +76,11 @@ def _wide(rng: random.Random) -> list[list[str]]:
     return [["%g" % (-110.0 + 2.0 * spikes[t]) if t in spikes else "-110"] for t in range(600)]
 
 
+def _export(rng: random.Random) -> list[list[str]]:
+    # cells padded as spreadsheets and instrument logs pad them: a no-break space before, a \x1c after
+    return [["\xa0%.6g" % rng.gauss(-100.0, 5.0), "%.6g\x1c" % rng.gauss(-105.0, 3.0)] for _ in range(300)]
+
+
 # input name -> (band centres in MHz, generator, seed)
 TRACES = {
     "gaussian": (("614.1", "614.3"), _gaussian, 1),
@@ -84,14 +89,19 @@ TRACES = {
     "idle_spike": (("740.1", "740.3"), _idle_spike, 4),
     "constant": (("760.1", "760.3"), _constant, 5),
     "wide": (("780.1",), _wide, 6),
+    "export": (("\xa0800.1", "800.3\x1c"), _export, 7),
 }
+# inputs written as a spreadsheet's "CSV UTF-8" export or an instrument log: a byte-order mark,
+# a non-ASCII note above the header and CRLF line ends
+EXPORT_HEAD = {"export": "\ufeff# RBW 200 kHz, \u0394t 180 s"}
 
 
 def write_inputs(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name, (freqs, make, seed) in TRACES.items():
         rows = make(random.Random(seed))
-        text = ",".join(freqs) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+        head, end = (EXPORT_HEAD[name] + "\r\n", "\r\n") if name in EXPORT_HEAD else ("", "\n")
+        text = head + "".join(",".join(row) + end for row in [freqs, *rows])
         (directory / f"{name}.csv").write_text(text, encoding="utf-8", newline="")
     (directory / "services.json").write_text(json.dumps(SERVICE_MAP) + "\n", encoding="utf-8", newline="")
 

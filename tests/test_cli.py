@@ -305,6 +305,13 @@ class TestAnalyzeCommand:
         assert "line 2: not UTF-8 text" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
+    def test_information_separator_inside_a_value_exit_2(self, tmp_path, capsys):
+        # \x1c-\x1f around a value is whitespace, as on a blank line; inside one it is a bad value
+        path = write_text(tmp_path / "t.csv", "600.1,600.3\n-100,-1\x1c00\n")
+        assert run_cli("analyze", path, "--output", tmp_path / "an.csv") == 2
+        assert capsys.readouterr().err == "error: Parse: line 2: bad value '-1\\x1c00' in column 2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -673,6 +680,30 @@ class TestSynthCommand:
         assert proc.stderr == f"error: Config: {size} is too large: the samples of a band do not fit in memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pattern", "0,1", "--repeats", "100000000000000000000"],
+             "--repeats 100000000000000000000 is too large for the length of a band"),
+            (["--pattern", "0,99999999999999999999999", "--repeats", "2"],
+             "--pattern 0,99999999999999999999999 has a level too large for a 64-bit integer"),
+        ],
+        ids=["repeats-beyond-an-index", "level-beyond-int64"],
+    )
+    def test_periodic_number_beyond_its_type_exit_3(self, tmp_path, capsys, flags, message):
+        assert run_cli("synth", "--model", "periodic", *flags, "--output", tmp_path / "o.csv") == 3
+        assert capsys.readouterr().err == f"error: Config: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gaussian_draw_beyond_the_float_range_exit_3(self, tmp_path, capsys):
+        # the parameters are finite, but a draw from N(-100, 1e308) overflows to -inf or inf
+        out = tmp_path / "o.csv"
+        assert run_cli("synth", "--model", "gaussian", "--n", "1000", "--sigma-db", "1e308", "--output", out) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: Config: --mean-dbm -100.0 and --sigma-db 1e+308 draw a non-finite sample at index "
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("where", ["header", "rows"])
     def test_bands_beyond_memory_exit_3(self, tmp_path, capsys, monkeypatch, where):
         # In a child capped at 2 GiB, --n 1 --bands 100000000 runs out of memory in the header
@@ -799,6 +830,22 @@ def test_json_output_path_exit_3(tmp_path, capsys, command):
     # the JSON report would overwrite the CSV; rejected before the (missing) input is read
     assert run_cli(command, tmp_path / "missing", "--output", tmp_path / "o.json") == 3
     assert "--output: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze"], "an input file is required (or use --from-manifest)"),
+        (["synth", "--model", "periodic", "--pattern", "1,x"], "pattern must be comma-separated integers, got '1,x'"),
+        (["synth", "--model", "markov"], "--spec is required for the markov model"),
+        (["synth", "--model", "periodic"], "--pattern is required for the periodic model"),
+    ],
+    ids=["analyze-without-input", "pattern-not-integers", "markov-without-spec", "periodic-without-pattern"],
+)
+def test_missing_or_malformed_required_value_exit_3(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--output", tmp_path / "x.csv") == 3
+    assert capsys.readouterr().err == f"error: Config: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -121,16 +121,20 @@ PLAIN_VALUES = st.floats(-150, -40).map("{:.10g}".format) | st.integers(-150, 0)
 # tokens on which numpy's parser and float() may disagree, and tokens every loader must reject
 ODD_VALUES = st.sampled_from([
     "1_0", "-1_00.5", "\u0661\u0660", "1e303", "0", "-614.1", "", "1.5#x", "#1", "-100 # note", "0x10", "1e",
-    ".5", "+.5e1", "1.", "north",
+    ".5", "+.5e1", "1.", "north", "-1\udcb5",  # a Latin-1 byte, which is not UTF-8
 ])
 NON_FINITE = st.sampled_from(["inf", "-inf", "Infinity", "+iNF", "nan", "NaN", "-nan", "1e999", "-1e999"])
-PADDING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0"])
-EXTRA_LINES = st.sampled_from(["", " \t", "\x0c", "# comment", "  # indented, 1,2", "#614.1"])
+PADDING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\xa0", "\u2009", "\u3000", "\x85"])
+EXTRA_LINES = st.sampled_from([
+    "", " \t", "\x0c", "# comment", "  # indented, 1,2", "#614.1", "# RBW 200 kHz, \u0394t 180 s", "# dwell 5 \u00b5s",
+])
 
 
 @st.composite
 def trace_files(draw):
-    """A well-formed trace CSV, then up to four edits that may make it odd or malformed."""
+    """A well-formed trace CSV, then up to four edits that may make it odd or malformed, with or without a BOM.
+
+    The text is written with errors="surrogateescape", so "\\udcb5" stands for the undecodable byte 0xb5."""
     width = draw(st.integers(1, 3))
     lines = [draw(st.lists(st.floats(1, 6000).map("{:.10g}".format), min_size=width, max_size=width))]
     lines += draw(st.lists(st.lists(PLAIN_VALUES, min_size=width, max_size=width), min_size=1, max_size=5))
@@ -158,7 +162,8 @@ def trace_files(draw):
                 cells[col] += draw(st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]))
     if not draw(st.booleans()):
         ends[-1] = ""
-    return "".join(",".join(cells) + end for cells, end in zip(lines, ends))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(",".join(cells) + end for cells, end in zip(lines, ends))
 
 
 def load_outcome(load):
@@ -169,12 +174,12 @@ def load_outcome(load):
     return m.bands, m.rows.shape, m.rows.tobytes()
 
 
-def write_campaign(path, rng, line_end, head="", gap=""):
+def write_campaign(path, rng, line_end, gap=""):
     """The shape and number format of the benchmark's long-campaign trace: 16 bands x 50,000 slots in %.10g,
-    with ``head`` before the header and a ``gap`` line, if any, after row 1000."""
+    with a ``gap`` line, if any, after row 1000."""
     rows = rng.normal(-100.0, 5.0, size=(50_000, 16))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(head + ",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + line_end)
+        fh.write(",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(16)) + line_end)
         np.savetxt(fh, rows[:1000], fmt="%.10g", delimiter=",", newline=line_end)
         if gap:
             fh.write(gap + line_end)
@@ -195,7 +200,7 @@ class TestNumpyReader:
     def test_matches_line_scanner(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.csv"
-            path.write_bytes(text.encode("utf-8"))
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
             fast = load_outcome(lambda: load_matrix(path))
             assert fast == load_outcome(lambda: _scan_matrix(path))
 
@@ -214,11 +219,11 @@ class TestNumpyReader:
         assert peak < 1.5 * m.rows.nbytes
         assert np.array_equal(m.rows, _scan_matrix(path).rows)
 
-    @pytest.mark.parametrize("head, gap", [("", "# gap"), ("", "# dwell 5 \u00b5s"), ("\ufeff", "")],
-                             ids=["comment", "non-ascii-comment", "bom"])
-    def test_line_reader_memory_bound(self, tmp_path, rng, monkeypatch, head, gap):
+    @pytest.mark.parametrize("gap", ["# gap", "# dwell 5 \u00b5s", " \t"],
+                             ids=["comment", "non-ascii-comment", "whitespace-only"])
+    def test_line_reader_memory_bound(self, tmp_path, rng, monkeypatch, gap):
         # files numpy's path declines are read once, into one flat buffer of values
-        path = write_campaign(tmp_path / "campaign.csv", rng, "\n", head, gap)
+        path = write_campaign(tmp_path / "campaign.csv", rng, "\n", gap)
         scanned = []
         monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
         tracemalloc.start()
@@ -230,6 +235,24 @@ class TestNumpyReader:
         assert scanned
         assert m.rows.shape == (50_000, 16)
         assert peak < 1.5 * m.rows.nbytes
+
+    @pytest.mark.parametrize("head", ["\ufeff", "# RBW 200 kHz, \u0394t 180 s\r\n"], ids=["bom", "non-ascii-comment"])
+    def test_export_heads_take_numpys_path(self, tmp_path, monkeypatch, head):
+        path = tmp_path / "t.csv"
+        path.write_bytes((head + "614.1,614.3\r\n-100,-101.5\r\n-102,-103\r\n").encode())
+        scanned = []
+        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        m = load_matrix(path)
+        assert not scanned
+        assert load_outcome(lambda: m) == load_outcome(lambda: _scan_matrix(path))
+
+    def test_information_separators_pad_like_whitespace(self, tmp_path):
+        # str.strip() removes \x1c-\x1f, as numpy's parser does around a value; float() alone keeps them
+        path = write_text(tmp_path / "t.csv", "\x1c614.1\x1f,614.3\n-100\x1c,\x1d-101.5\x1e\n\x1c\n")
+        m = load_matrix(path)
+        assert m.rows.tolist() == [[-100.0, -101.5]]
+        assert [b.label for b in m.bands] == ["614.1 MHz", "614.3 MHz"]
+        assert load_outcome(lambda: m) == load_outcome(lambda: _scan_matrix(path))
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\r"])
     def test_line_end_across_text_chunks(self, tmp_path, monkeypatch, line_end):
