@@ -22,7 +22,6 @@ parameters.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -30,6 +29,7 @@ import os
 import re
 import sys
 import tempfile
+from array import array
 from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
@@ -259,8 +259,8 @@ def cmd_analyze(args) -> int:
             "freq_mhz": r.band.center_freq_mhz,
             "label": r.band.label,
             "service": r.band.service,
-            **dataclasses.asdict(r.entropy),
-            **dataclasses.asdict(r.predictability),
+            **vars(r.entropy),
+            **vars(r.predictability),
         }
         for r in results
     ]
@@ -325,7 +325,7 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
 
 
 def cmd_synth(args) -> int:
-    from .synth import gen_gaussian_psd, gen_iid_uniform, gen_markov, gen_periodic, markov_spec_from_json
+    from .synth import MarkovSpec, _gaussian_samples, gen_iid_uniform, gen_markov, gen_periodic, markov_spec_from_json
 
     if args.bands < 1:
         raise ConfigError(f"--bands must be >= 1, got {args.bands}")
@@ -340,7 +340,7 @@ def cmd_synth(args) -> int:
                 if not args.spec:
                     raise ConfigError("--spec is required for the markov model")
                 spec = markov_spec_from_json(args.spec)
-                columns = [gen_markov(dataclasses.replace(spec, seed=spec.seed + k), args.n).levels
+                columns = [gen_markov(MarkovSpec(spec.transition, spec.initial, spec.seed + k), args.n).levels
                            for k in range(args.bands)]
             elif args.model == "periodic":
                 if not args.pattern:
@@ -353,13 +353,16 @@ def cmd_synth(args) -> int:
                     raise ConfigError(f"--pattern {args.pattern} has a level too large for a 64-bit integer") from None
             elif args.model == "gaussian":
                 try:
-                    columns = [
-                        gen_gaussian_psd(args.n, args.mean_dbm, args.sigma_db, args.seed + k).samples
-                        for k in range(args.bands)
-                    ]
-                except NonFiniteSampleError as exc:  # a draw past the float range
+                    draws = (_gaussian_samples(args.n, args.mean_dbm, args.sigma_db, args.seed + k)
+                             for k in range(args.bands))
+                    # array("d") holds 8 bytes a sample, where a tuple of Python floats takes 32
+                    columns = [array("d", draw.tobytes()) for draw in draws]
+                except ValueError as exc:
+                    if not isinstance(exc.__cause__, NonFiniteSampleError):
+                        raise
+                    # a draw past the float range
                     flags = f"--mean-dbm {args.mean_dbm} and --sigma-db {args.sigma_db}"
-                    raise ConfigError(f"{flags} draw a {exc}") from None
+                    raise ConfigError(f"{flags} draw a {exc.__cause__}") from None
             else:
                 columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
         except MemoryError:  # numpy's failed allocations are MemoryErrors too

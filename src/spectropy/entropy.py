@@ -18,16 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySequenceError, SequenceTooShortError
 from .quantize import level_distribution
-from .trace import EntropyReport, LevelDistribution, QuantizedTrace
+from .trace import EntropyReport, LevelDistribution, QuantizedTrace, _value_type
 
 
-@dataclass(frozen=True)
+@_value_type
 class LzParse:
     """Per-position match-length statistics of a level sequence.
 

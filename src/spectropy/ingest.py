@@ -25,7 +25,6 @@ import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -35,13 +34,13 @@ from .errors import (
     ParseError,
     RaggedRowError,
 )
-from .trace import BandMetadata, PsdTrace
+from .trace import BandMetadata, PsdTrace, _value_type
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
+@_value_type(eq=False)
 class SpectrumMatrix:
     """Time-by-band grid of PSD values (dBm), rows in acquisition order."""
 

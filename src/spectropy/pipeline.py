@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 
 from .entropy import entropy_report
 from .ingest import SpectrumMatrix, block_average
 from .predictability import band_predictability
 from .quantize import QuantizationConfig, quantize
-from .trace import BandMetadata, EntropyReport, PredictabilityReport, PsdTrace, QuantizedTrace
+from .trace import BandMetadata, EntropyReport, PredictabilityReport, PsdTrace, QuantizedTrace, _value_type
 
 # A pool costs about 50 ms to start and stop, and serial analysis about
 # 1-2.5 us per slot, so a second worker (which saves at most half the
@@ -29,7 +28,7 @@ from .trace import BandMetadata, EntropyReport, PredictabilityReport, PsdTrace, 
 _SLOTS_PER_WORKER = 50_000
 
 
-@dataclass(frozen=True)
+@_value_type
 class BandAnalysis:
     """Everything the analyze pipeline produces for one band."""
 

@@ -14,15 +14,14 @@ unconditionally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, EmptyInputError
-from .trace import PredictabilityReport, QuantizedTrace
+from .trace import PredictabilityReport, QuantizedTrace, _value_type
 
 BISECTION_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@_value_type
 class CdfReport:
     """Empirical CDF of per-band predictability bounds for one service."""
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import EmptyTraceError
-from .trace import LevelDistribution, PsdTrace, QuantizedTrace
+from .trace import LevelDistribution, PsdTrace, QuantizedTrace, _value_type
 
 # Largest alphabet a quantizer accepts; q sizes the bin-edge and level-count arrays.
 MAX_Q = 2**16
@@ -19,7 +18,7 @@ class Strategy(Enum):
     EQUAL_FREQUENCY = "equal-frequency"
 
 
-@dataclass(frozen=True)
+@_value_type
 class QuantizationConfig:
     """Alphabet size and binning strategy; each band is binned over its own min/max."""
 

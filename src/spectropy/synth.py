@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStochasticMatrixError, NotIrreducibleError
+from .errors import ConfigError, InvalidStochasticMatrixError, NonFiniteSampleError, NotIrreducibleError
 from .ingest import json_constant, json_value
-from .trace import BandMetadata, PsdTrace, QuantizedTrace
+from .trace import BandMetadata, PsdTrace, QuantizedTrace, _value_type
 
 _STOCHASTIC_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
@@ -28,7 +27,7 @@ def _default_band(label: str) -> BandMetadata:
     return BandMetadata(center_freq_hz=1e9, label=label)
 
 
-@dataclass(frozen=True)
+@_value_type
 class MarkovSpec:
     """Transition matrix, initial distribution and seed of a finite chain."""
 
@@ -145,6 +144,25 @@ def markov_entropy_rate(spec: MarkovSpec) -> float:
     return float(-(pi @ plogp.sum(axis=1)))
 
 
+def _gaussian_samples(n: int, mean_dbm: float, sigma_db: float, seed: int) -> np.ndarray:
+    """n i.i.d. N(mean_dbm, sigma_db^2) draws as a float64 array, all of them finite.
+
+    Every fault is one of the parameters: a ValueError, whose ``__cause__`` is a
+    NonFiniteSampleError when a draw overflows the float range.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (math.isfinite(mean_dbm) and math.isfinite(sigma_db) and sigma_db > 0):
+        raise ValueError(f"need a finite mean_dbm and a positive finite sigma_db, got {mean_dbm}, {sigma_db}")
+    samples = np.random.default_rng(seed).normal(mean_dbm, sigma_db, size=n)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        cause = NonFiniteSampleError(index, float(samples[index]))
+        raise ValueError(f"mean_dbm {mean_dbm} and sigma_db {sigma_db} draw a {cause}") from cause
+    return samples
+
+
 def gen_gaussian_psd(
     n: int,
     mean_dbm: float = -100.0,
@@ -152,14 +170,8 @@ def gen_gaussian_psd(
     seed: int = 0,
 ) -> PsdTrace:
     """n i.i.d. normal PSD samples as a trace (the noise-floor baseline)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(mean_dbm) and math.isfinite(sigma_db) and sigma_db > 0):
-        raise ValueError(f"need a finite mean_dbm and a positive finite sigma_db, got {mean_dbm}, {sigma_db}")
-    rng = np.random.default_rng(seed)
-    samples = rng.normal(mean_dbm, sigma_db, size=n)
     band = _default_band(f"gaussian(mean={mean_dbm},sigma={sigma_db},seed={seed})")
-    return PsdTrace(band=band, samples=samples)
+    return PsdTrace(band=band, samples=_gaussian_samples(n, mean_dbm, sigma_db, seed))
 
 
 def gen_periodic(pattern, repeats: int) -> QuantizedTrace:

@@ -1,20 +1,86 @@
 """Immutable value types shared by every analysis stage.
 
-Everything here is a frozen dataclass holding plain tuples: equality is
-structural, instances are safe to share across threads, and each type
+Every value type of the package, here and in the other modules, is a
+plain class that ``_value_type`` gives what a frozen dataclass would: a
+constructor over its annotated fields, read-only attributes, structural
+equality and hashing, and a field-by-field repr.  The types hold plain
+tuples, so instances are safe to share across threads, and each type
 checks its invariants when it is built.  numpy is imported where a check
-builds an array, so a command that only reads reports starts without it.
+builds an array, and ``dataclasses`` (with the ``inspect`` it imports)
+nowhere, so a command that only reads reports starts without either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import EmptyTraceError, NonFiniteSampleError
 
 
-@dataclass(frozen=True)
+def _value_type(cls=None, *, eq: bool = True):
+    """Class decorator: ``cls`` as ``@dataclass(frozen=True, eq=eq)`` would make it.
+
+    The fields are the class's annotations, in order; a class attribute of
+    the same name is the field's default.  ``__init__`` takes them by
+    position or keyword, stores them and calls ``__post_init__`` if the
+    class has one, which may normalise a field with ``object.__setattr__``.
+    Instances refuse attribute assignment and deletion, hold their fields
+    and nothing else in ``vars()`` (so they pickle as a dataclass does),
+    compare and hash by their fields when ``eq`` is set, and otherwise by
+    identity.
+    """
+    if cls is None:
+        return lambda c: _value_type(c, eq=eq)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    key = attrgetter(*names)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given")
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(args):
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+        fields = self.__dict__
+        fields.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                fields[name] = kwargs[name]
+            elif name in defaults:
+                fields[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {cls.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {cls.__name__}")
+
+    def __repr__(self):
+        return f"{cls.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(key(self))
+
+    cls.__init__, cls.__setattr__, cls.__delattr__, cls.__repr__ = __init__, __setattr__, __delattr__, __repr__
+    if eq:
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+    return cls
+
+
+@_value_type
 class BandMetadata:
     """Identity of one frequency band (nominally a 200 kHz channel)."""
 
@@ -31,7 +97,7 @@ class BandMetadata:
         return self.center_freq_hz / 1e6
 
 
-@dataclass(frozen=True)
+@_value_type
 class PsdTrace:
     """Time-ordered PSD samples (dBm per channel bandwidth) for one band.
 
@@ -57,7 +123,7 @@ class PsdTrace:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
+@_value_type
 class QuantizedTrace:
     """Integer level sequence over the alphabet {0, ..., q-1}.
 
@@ -83,7 +149,7 @@ class QuantizedTrace:
             raise ValueError(f"levels must lie in [0, {self.q - 1}]")
 
 
-@dataclass(frozen=True)
+@_value_type
 class LevelDistribution:
     """Empirical level frequencies p_0..p_{q-1}, summing to one."""
 
@@ -106,7 +172,7 @@ class LevelDistribution:
         return len(self.probabilities)
 
 
-@dataclass(frozen=True)
+@_value_type
 class EntropyReport:
     """The three entropy measures (bits) for one quantized band."""
 
@@ -127,7 +193,7 @@ class EntropyReport:
             raise ValueError(f"e_actual must be non-negative, got {self.e_actual}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class PredictabilityReport:
     """Upper-bound predictability for one band plus solver diagnostics.
 

@@ -563,8 +563,9 @@ class TestSynthCommand:
         assert (tmp_path / "i.csv").read_text().splitlines()[1:] == [",".join(map(str, row)) for row in zip(*iid)]
 
     def test_write_holds_less_than_the_text(self, tmp_path, capsys):
-        # the generators' samples are Python floats in tuples, 32 bytes each; writing the CSV must not
-        # hold another copy of its text on top of them
+        # the samples are held as C doubles, 8 bytes each, and rows are formatted one at a time as they are
+        # written: the peak stays below twice the samples, so it holds neither the samples as Python floats
+        # (32 bytes each) nor a copy of the text
         out = tmp_path / "g.csv"
         tracemalloc.start()
         try:
@@ -572,7 +573,7 @@ class TestSynthCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20_000 * 16 * 32 + out.stat().st_size
+        assert peak < 2 * 20_000 * 16 * 8
 
     def test_bad_markov_spec_exit_3(self, tmp_path, capsys):
         spec = write_text(
@@ -868,13 +869,18 @@ class TestModuleInvocation:
     @pytest.mark.parametrize(
         "command, unused",
         [
-            (["--version"], ["numpy", "concurrent.futures.process"]),
-            (["cdf", "{dir}/an.json", "--output", "{dir}/cdf.csv"], ["numpy", "concurrent.futures.process"]),
-            (["duty-cycle", "{dir}/t.csv", "--output", "{dir}/dc.csv"], ["concurrent.futures.process"]),
-            (["synth", "--model", "iid", "--n", "20", "--output", "{dir}/s.csv"], ["concurrent.futures.process"]),
-            (["analyze", "{dir}/t.csv", "--jobs", "1", "--output", "{dir}/an2.csv"], ["concurrent.futures.process"]),
+            # numpy imports inspect itself, so only the commands without numpy can start without it
+            (["--version"], ["numpy", "concurrent.futures.process", "dataclasses", "inspect"]),
+            (["cdf", "{dir}/an.json", "--output", "{dir}/cdf.csv"],
+             ["numpy", "concurrent.futures.process", "dataclasses", "inspect"]),
+            (["duty-cycle", "{dir}/t.csv", "--output", "{dir}/dc.csv"], ["concurrent.futures.process", "dataclasses"]),
+            (["synth", "--model", "iid", "--n", "20", "--output", "{dir}/s.csv"],
+             ["concurrent.futures.process", "dataclasses"]),
+            (["analyze", "{dir}/t.csv", "--jobs", "1", "--output", "{dir}/an2.csv"],
+             ["concurrent.futures.process", "dataclasses"]),
             # 8 slots are far too few to pay for a pool
-            (["analyze", "{dir}/t.csv", "--jobs", "2", "--output", "{dir}/an2.csv"], ["concurrent.futures.process"]),
+            (["analyze", "{dir}/t.csv", "--jobs", "2", "--output", "{dir}/an2.csv"],
+             ["concurrent.futures.process", "dataclasses"]),
         ],
         ids=["version", "cdf", "duty-cycle", "synth", "analyze-jobs-1", "analyze-jobs-2"],
     )

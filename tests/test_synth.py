@@ -164,6 +164,9 @@ class TestGaussianPsd:
             gen_gaussian_psd(10, sigma_db=0.0, seed=0)
         with pytest.raises(ValueError):
             gen_gaussian_psd(10, mean_dbm=float("inf"), seed=0)
+        # finite parameters whose draws overflow the float range are a parameter fault, not bad data
+        with pytest.raises(ValueError, match=r"^mean_dbm -100.0 and sigma_db 1e\+308 draw a non-finite sample at index"):
+            gen_gaussian_psd(1000, -100.0, 1e308)
 
 
 class TestPeriodic:

@@ -1,17 +1,25 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from spectropy import (
+    BandAnalysis,
     BandMetadata,
+    CdfReport,
     EmptyTraceError,
     EntropyReport,
     LevelDistribution,
+    LzParse,
+    MarkovSpec,
     NonFiniteSampleError,
     PredictabilityReport,
     PsdTrace,
+    QuantizationConfig,
     QuantizedTrace,
+    SpectrumMatrix,
+    Strategy,
 )
 
 
@@ -66,6 +74,75 @@ class TestStructuralValue:
     def test_samples_coerced_to_floats(self):
         trace = PsdTrace(make_band(), (np.float64(-100), -101))
         assert all(type(v) is float for v in trace.samples)
+
+
+_BAND = make_band(service="tv")
+_ENTROPY = dict(e_rand=1.0, e_unc=0.8, e_actual=0.5, n=10, q=2)
+_PREDICTABILITY = dict(pi_max=0.9, entropy_used=0.4, clamped=False, iterations=30, q=2)
+# valid keyword arguments for each value type, in field order
+VALUE_TYPE_FIELDS = {
+    BandMetadata: dict(center_freq_hz=614.1e6, label="614.1 MHz", service="tv"),
+    PsdTrace: dict(band=_BAND, samples=(-100.0, -101.5)),
+    QuantizedTrace: dict(band=_BAND, levels=(0, 1, 1), q=2),
+    LevelDistribution: dict(probabilities=(0.25, 0.75)),
+    EntropyReport: _ENTROPY,
+    PredictabilityReport: _PREDICTABILITY,
+    SpectrumMatrix: dict(bands=(_BAND,), rows=np.array([[-100.0], [-101.5]])),
+    QuantizationConfig: dict(q=8, strategy=Strategy.EQUAL_FREQUENCY),
+    CdfReport: dict(points=((0.5, 0.5), (0.9, 1.0)), service="tv", q=2),
+    LzParse: dict(lambdas=(1, 2, 2)),
+    BandAnalysis: dict(
+        band=_BAND, entropy=EntropyReport(**_ENTROPY), predictability=PredictabilityReport(**_PREDICTABILITY)
+    ),
+    MarkovSpec: dict(transition=((0.9, 0.1), (0.2, 0.8)), initial=(0.5, 0.5), seed=1),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPE_FIELDS, ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    """What a frozen dataclass gave each type: construction, immutability, equality, repr, pickling."""
+    fields = VALUE_TYPE_FIELDS[cls]
+    names = list(fields)
+    value = cls(**fields)
+    # the fields, in order, are the instance's whole state: the analyze JSON lists them in this order
+    assert list(vars(value)) == names
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={getattr(value, n)!r}' for n in names)})"
+
+    with pytest.raises(TypeError, match="missing"):
+        cls()
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        cls(**fields, colour="red")
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(fields[names[0]], **fields)
+    with pytest.raises(TypeError, match="arguments"):
+        cls(*fields.values(), None)
+    with pytest.raises(AttributeError):
+        setattr(value, names[0], fields[names[0]])
+    with pytest.raises(AttributeError):
+        delattr(value, names[0])
+    with pytest.raises(AttributeError):
+        value.colour = "red"
+    assert list(vars(value)) == names
+
+    twin = cls(*fields.values())
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and repr(copy) == repr(value)
+    assert value.__eq__(fields[names[0]]) is NotImplemented
+    if cls is SpectrumMatrix:  # compared by identity: the rows are an array
+        assert value == value and value != twin and value != copy
+        assert hash(value) == object.__hash__(value)
+    else:
+        assert value == twin == copy and value is not twin
+        assert hash(value) == hash(twin) == hash(copy)
+        assert value != fields
+
+
+def test_value_type_defaults():
+    band = BandMetadata(1e9)
+    assert (band.label, band.service) == ("", None)
+    assert BandMetadata.label == ""
+    assert QuantizationConfig(8).strategy is Strategy.EQUAL_WIDTH
+    assert QuantizationConfig(8) == QuantizationConfig(q=8, strategy=Strategy.EQUAL_WIDTH)
 
 
 class TestQuantizedTrace:
