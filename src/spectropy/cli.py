@@ -329,6 +329,15 @@ def cmd_synth(args) -> int:
 
     if args.bands < 1:
         raise ConfigError(f"--bands must be >= 1, got {args.bands}")
+    flag, size = ("--repeats", args.repeats) if args.model == "periodic" else ("--n", args.n)
+    if size < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {size}")
+    if args.model == "iid" and args.q < 1:
+        raise ConfigError(f"--q must be >= 1, got {args.q}")
+    if args.model == "gaussian" and not math.isfinite(args.mean_dbm):
+        raise ConfigError(f"--mean-dbm must be finite, got {args.mean_dbm}")
+    if args.model == "gaussian" and not (math.isfinite(args.sigma_db) and args.sigma_db > 0):
+        raise ConfigError(f"--sigma-db must be positive and finite, got {args.sigma_db}")
     try:
         header = [_fmt(args.start_mhz + k * args.step_mhz) for k in range(args.bands)]
         try:  # checked as written, since rounding can overflow
@@ -366,8 +375,7 @@ def cmd_synth(args) -> int:
             else:
                 columns = [gen_iid_uniform(args.q, args.n, args.seed + k).levels for k in range(args.bands)]
         except MemoryError:  # numpy's failed allocations are MemoryErrors too
-            size = f"--repeats {args.repeats}" if args.model == "periodic" else f"--n {args.n}"
-            raise ConfigError(f"{size} is too large: the samples of a band do not fit in memory") from None
+            raise ConfigError(f"{flag} {size} is too large: the samples of a band do not fit in memory") from None
 
         # "%.10g" % x is _fmt(x); rows are formatted one at a time as they are written
         row_fmt = ",".join(["%.10g" if args.model == "gaussian" else "%d"] * args.bands) + "\n"

@@ -7,10 +7,10 @@ naive quadratic reference and ``lz_parse_fast`` must return bit-identical
 output, so the whole correctness burden sits on the simple code and the
 fast path is validated purely by differential testing.
 
-``lz_parse_fast`` has two stages: class refinement in numpy rounds,
-within a work budget of a fixed multiple of n positions, and a suffix
-automaton on integer states for the bands where refinement would not pay
-or overruns that budget.  Both are O(n) in time and memory.
+``lz_parse_fast`` has three stages: a parse per run for bands of few
+runs, class refinement in numpy rounds within a work budget of a fixed
+multiple of n positions, and a suffix automaton on integer states for
+the rest.  Each is O(n) in time and memory.
 """
 
 from __future__ import annotations
@@ -85,23 +85,25 @@ def lz_parse(levels) -> LzParse:
 
 
 _FLAT_MAX_SIGMA = 16
+_MAX_RUNS = 32
 _PRECHECK_ROUNDS = 12
 _REFINE_WORK = 16
 _TABLE_PER_POSITION = 4
 
 
 def lz_parse_fast(levels) -> LzParse:
-    """Match-length parse in two stages, bit-identical to ``lz_parse``.
+    """Match-length parse in three stages, bit-identical to ``lz_parse``.
 
-    The first stage, ``_refine``, settles every lambda in numpy rounds,
-    one symbol of match length per round.  It is skipped when log2(n)
-    over the symbol entropy H1 exceeds ``_PRECHECK_ROUNDS``, as on
-    constant, idle and beacon bands, whose matches run long; it gives up
-    once its working sets sum to more than ``_REFINE_WORK * n``
-    positions, as on periodic stretches.  Then the second stage, the
-    suffix automaton ``_automaton``, parses the whole band.  Each stage
-    does O(n) work and holds O(n) memory on every input and alphabet, so
-    the parse does too (refinement sorts its labels, O(n log n), only on
+    Each stage returns the lambdas as an int64 array or declines the band
+    with None.  ``_runs`` parses a band of at most ``_MAX_RUNS`` runs, as
+    constant and idle bands are.  ``_refine`` settles every lambda in
+    numpy rounds, one symbol of match length per round.  It is skipped
+    when log2(n) over the symbol entropy H1 exceeds ``_PRECHECK_ROUNDS``,
+    as on beacon bands, whose matches run long; it gives up once its
+    working sets sum to more than ``_REFINE_WORK * n`` positions, as on
+    periodic stretches.  Then the suffix automaton ``_automaton`` parses
+    the band.  Each stage does O(n) work and holds O(n) memory on every
+    input and alphabet (refinement sorts its labels, O(n log n), only on
     wide alphabets).
     """
     seq = _symbol_ids(levels)
@@ -111,9 +113,50 @@ def lz_parse_fast(levels) -> LzParse:
 
     arr = np.fromiter(seq, dtype=np.int64, count=n)
     counts = np.bincount(arr).tolist()
+    sigma = len(counts)
     h1 = math.log2(n) - sum(c * math.log2(c) for c in counts) / n  # bits per symbol
-    lambdas = _refine(arr, len(counts), _REFINE_WORK * n) if h1 * _PRECHECK_ROUNDS > math.log2(n) else None
-    return LzParse(_automaton(seq, len(counts)) if lambdas is None else lambdas)
+    lambdas = _runs(arr, sigma)
+    if lambdas is None and h1 * _PRECHECK_ROUNDS > math.log2(n):
+        lambdas = _refine(arr, sigma, _REFINE_WORK * n)
+    return LzParse(_automaton(seq, sigma) if lambdas is None else lambdas)
+
+
+def _runs(arr: np.ndarray, sigma: int) -> np.ndarray | None:
+    """Match lengths of ``arr`` (symbols 0..sigma-1) from its r runs, or
+    None when r > ``_MAX_RUNS``, in O(r^2 + r n) steps (Policriti & Prezza,
+    DCC 2016).  At offset o of run t (symbol c, start s_t, length l_t) the
+    tail is T = l_t - o.  A match of c alone is min(T, max(o, the longest
+    earlier run of c)).  A longer one starts T before the end of an
+    earlier run u of c with l_u >= T and runs on for E(u + 1, t + 1)
+    symbols, the common prefix of the suffixes at those runs' starts,
+    clipped to s_{t+1} - s_{u+1} to end before the position.
+    """
+    change = arr[1:] != arr[:-1]
+    if np.count_nonzero(change) + 1 > _MAX_RUNS:
+        return None
+    starts = [0, *(np.flatnonzero(change) + 1).tolist(), len(arr)]
+    sym, lens = arr[starts[:-1]].tolist(), np.diff(starts).tolist()
+    r = len(sym)
+    # E(a, b), a < b - 1: the lengths of equal runs, then the shorter of a pair of one symbol
+    ext = [[0] * (r + 1) for _ in range(r + 1)]
+    for a in range(r - 3, -1, -1):
+        for b in range(a + 2, r):
+            if sym[a] == sym[b]:
+                ext[a][b] = lens[a] + ext[a + 1][b + 1] if lens[a] == lens[b] else min(lens[a], lens[b])
+    lambdas = np.empty(len(arr), dtype=np.int64)
+    longest = [0] * sigma  # the longest run of each symbol so far
+    for t, (c, length, s) in enumerate(zip(sym, lens, starts)):
+        tail = np.arange(length, 0, -1)
+        best = np.minimum(tail, np.maximum(length - tail, longest[c]))
+        for u in range(t - 1):
+            e = ext[u + 1][t + 1]  # 0 after the last run
+            if e and sym[u] == c:  # else the match is c alone, covered above
+                k = min(lens[u], length)  # the offsets with T <= l_u
+                reach = np.minimum(tail[-k:] + e, starts[t + 1] - starts[u + 1])
+                np.maximum(best[-k:], reach, out=best[-k:])
+        lambdas[s : s + length] = best + 1
+        longest[c] = max(longest[c], length)
+    return lambdas
 
 
 def _refine(arr: np.ndarray, sigma: int, budget: int) -> np.ndarray | None:
@@ -170,7 +213,7 @@ def _refine(arr: np.ndarray, sigma: int, budget: int) -> np.ndarray | None:
             nkeys = len(pairs)
 
 
-def _automaton(seq: list[int], sigma: int) -> list[int]:
+def _automaton(seq: list[int], sigma: int) -> np.ndarray:
     """Match lengths of ``seq`` (symbols 0..sigma-1) via an online suffix
     automaton on integer states.
 
@@ -199,7 +242,7 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
     max_len = [0] * (2 * n + 1)
     size = 1  # states in use
     last = 0
-    lambdas = [0] * n
+    lambdas = [0] * n  # a list, whose item stores cost less than an array's
     # (node, length): the state reached by the current match seq[i:i+length]
     node = 0
     length = 0
@@ -250,7 +293,7 @@ def _automaton(seq: list[int], sigma: int) -> list[int]:
             length -= 1
             if length <= max_len[link[node]]:
                 node = link[node]
-    return lambdas
+    return np.fromiter(lambdas, dtype=np.int64, count=n)
 
 
 def random_entropy(q: int) -> float:

@@ -659,6 +659,27 @@ class TestSynthCommand:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--model", "gaussian", "--n", "0"], "--n must be >= 1, got 0"),
+            (["--model", "iid", "--n", "0"], "--n must be >= 1, got 0"),
+            (["--model", "markov", "--spec", "{spec}", "--n", "0"], "--n must be >= 1, got 0"),
+            (["--model", "periodic", "--pattern", "0,1", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+            (["--model", "iid", "--q", "0"], "--q must be >= 1, got 0"),
+            (["--model", "gaussian", "--sigma-db", "0"], "--sigma-db must be positive and finite, got 0.0"),
+            (["--model", "gaussian", "--sigma-db", "-1"], "--sigma-db must be positive and finite, got -1.0"),
+            (["--model", "gaussian", "--mean-dbm", "nan"], "--mean-dbm must be finite, got nan"),
+        ],
+        ids=["gaussian-n", "iid-n", "markov-n", "periodic-repeats", "iid-q", "sigma-0", "sigma-negative", "mean-nan"],
+    )
+    def test_parameter_out_of_range_names_its_flag_exit_3(self, tmp_path, capsys, flags, message):
+        spec = write_text(tmp_path / "chain.json", '{"matrix": [[1]], "initial": [1], "seed": 1}')
+        flags = [flag.format(spec=spec) for flag in flags]
+        assert run_cli("synth", *flags, "--output", tmp_path / "o.csv") == 3
+        assert capsys.readouterr().err == f"error: Config: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [spec]
+
+    @pytest.mark.parametrize(
         "flags, size",
         [
             (["--model", "iid", "--n", "10000000000000"], "--n 10000000000000"),

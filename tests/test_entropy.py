@@ -114,17 +114,27 @@ def adversarial_sequences(seed=0):
     return cases
 
 
-def _runs(draw_runs, repeats):
+def _expand(draw_runs, repeats, cap=400):
     seq = [symbol for symbol, length in draw_runs for _ in range(length)]
-    return (seq * repeats)[:400]
+    return (seq * repeats)[:cap]
 
 
 # Low-entropy sequences: run-length encoded over a small alphabet, the
 # whole run list optionally repeated so periodic structure appears too.
 low_entropy_sequences = st.builds(
-    _runs,
+    _expand,
     st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), min_size=1, max_size=12),
     st.integers(1, 8),
+)
+
+# Few-run sequences: up to 40 drawn runs (fewer where neighbours share a
+# level), some written twice, so both sides of the run stage's cap of 32
+# runs appear, and earlier runs that equal later ones in level and length.
+few_run_sequences = st.builds(
+    _expand,
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10)), min_size=1, max_size=40),
+    st.integers(1, 2),
+    st.just(800),
 )
 
 
@@ -183,6 +193,11 @@ class TestLzParseFastDifferential:
     @settings(max_examples=300, deadline=None)
     @given(low_entropy_sequences)
     def test_agrees_with_reference_on_low_entropy_input(self, seq):
+        assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
+
+    @settings(max_examples=300, deadline=None)
+    @given(few_run_sequences)
+    def test_agrees_with_reference_on_few_run_input(self, seq):
         assert lz_parse_fast(seq).lambdas == lz_parse(seq).lambdas
 
     @pytest.mark.parametrize("seq", [pytest.param(seq, id=name) for name, seq in adversarial_sequences()])
@@ -258,6 +273,23 @@ class TestLzParseFastWorstCase:
         assert np.array_equal(lams, expected)
         assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s for n={n}, period {period}"
 
+    def test_long_idle_band_parses_in_linear_time(self):
+        # One spike at p on a constant floor: every match is floor alone.
+        # Before the spike it is capped by the i past slots and the p - i
+        # floor slots left before the spike; after it, by the longer past
+        # stretch of floor (p or i - p - 1 slots) and the n - i slots left.
+        n, p = 1_000_000, 333_333
+        seq = [0] * n
+        seq[p] = 1
+        t0 = time.perf_counter()
+        lams = lz_parse_fast(seq).lambdas
+        elapsed = time.perf_counter() - t0
+        i = np.arange(n)
+        expected = np.where(i < p, np.minimum(p - i, i), np.minimum(n - i, np.maximum(i - p - 1, p))) + 1
+        expected[p] = 1
+        assert np.array_equal(lams, expected)
+        assert elapsed < self.BUDGET_S, f"{elapsed:.1f}s for an idle band of n={n}"
+
 
 def refine_uncapped(seq):
     """The class-refinement stage alone, with its work budget lifted so
@@ -265,6 +297,28 @@ def refine_uncapped(seq):
     n = len(seq)
     lams = entropy_module._refine(np.array(seq, dtype=np.int64), max(seq) + 1, n * (n + 1))
     return tuple(lams.tolist())
+
+
+def runs_uncapped(seq):
+    """The run stage alone, with its cap lifted so that it never declines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entropy_module, "_MAX_RUNS", len(seq))
+        lams = entropy_module._runs(np.array(seq, dtype=np.int64), max(seq) + 1)
+    return tuple(lams.tolist())
+
+
+def automaton_alone(seq):
+    return tuple(entropy_module._automaton(list(seq), max(seq) + 1).tolist())
+
+
+def few_runs(r, seed=HOUSE_SEED):
+    """r runs of 1 to 60 symbols over levels 0-2, each level unlike the last."""
+    rng = np.random.default_rng(seed)
+    return np.repeat(np.cumsum(rng.integers(1, 3, r)) % 3, rng.integers(1, 61, r)).tolist()
+
+
+def count_runs(seq):
+    return 1 + sum(a != b for a, b in zip(seq, seq[1:]))
 
 
 def refine_cost(seq):
@@ -305,24 +359,29 @@ def quantized_band(samples, q=8):
 
 @pytest.fixture
 def stages(monkeypatch):
-    """Records which parse stages lz_parse_fast runs, in order."""
+    """Records which parse stages lz_parse_fast runs, in order.  The run
+    stage is recorded only when it answers: it is tried on every band and
+    declines one of many runs after a single comparison pass."""
     calls = []
-    for name in ("_refine", "_automaton"):
+    for name in ("_runs", "_refine", "_automaton"):
         stage = getattr(entropy_module, name)
 
         def spy(*args, _name=name, _stage=stage):
-            calls.append(_name)
-            return _stage(*args)
+            lams = _stage(*args)
+            if _name != "_runs" or lams is not None:
+                calls.append(_name)
+            return lams
 
         monkeypatch.setattr(entropy_module, name, spy)
     return calls
 
 
 class TestLzParseFastRefinement:
-    """lz_parse_fast settles match lengths by class refinement and hands
-    low-entropy bands to the automaton: before any round when log2(n)
-    over the symbol entropy exceeds 12, or once refinement passes 16 n
-    positions of work, however few or many rounds that takes."""
+    """lz_parse_fast parses a band of at most 32 runs from its runs.  It
+    settles other bands by class refinement and hands low-entropy ones to
+    the automaton: before any round when log2(n) over the symbol entropy
+    exceeds 12, or once refinement passes 16 n positions of work, however
+    few or many rounds that takes."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=300))
@@ -341,6 +400,17 @@ class TestLzParseFastRefinement:
     def test_refinement_alone_agrees_with_reference_on_adversarial_input(self, seq):
         assert refine_uncapped(seq) == lz_parse(seq).lambdas
 
+    @settings(max_examples=300, deadline=None)
+    @given(few_run_sequences)
+    @example([0] * 30)
+    @example([0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 1, 0])
+    @example([1, 1, 0, 0, 0, 1, 1, 2, 0, 0, 0, 1, 1, 0, 0, 0, 1])
+    def test_run_stage_alone_agrees_with_reference_and_the_other_stages(self, seq):
+        lams = lz_parse(seq).lambdas
+        assert runs_uncapped(seq) == lams
+        assert refine_uncapped(seq) == lams
+        assert automaton_alone(seq) == lams
+
     @pytest.mark.parametrize(
         "seq, expected",
         [
@@ -350,6 +420,8 @@ class TestLzParseFastRefinement:
             pytest.param(noise_with_repeat(40), ["_refine"], id="refines-past-40-rounds"),
             pytest.param([k % 4 for k in range(42)], ["_refine"], id="work-16n-minus-5"),
             pytest.param([k % 4 for k in range(43)], ["_refine", "_automaton"], id="work-16n-plus-5"),
+            pytest.param(few_runs(32), ["_runs"], id="32-runs"),
+            pytest.param(few_runs(33), ["_refine", "_automaton"], id="33-runs"),
         ],
     )
     def test_cases_either_side_of_each_limit_agree_with_reference(self, stages, seq, expected):
@@ -367,6 +439,8 @@ class TestLzParseFastRefinement:
         assert refine_cost(noise_with_repeat(40)) < 16 * 2000
         assert refine_cost([k % 4 for k in range(42)]) == 16 * 42 - 5
         assert refine_cost([k % 4 for k in range(43)]) == 16 * 43 + 5
+        # The run stage takes a band of at most 32 runs.
+        assert [count_runs(few_runs(r)) for r in (32, 33)] == [32, 33]
 
     def test_noise_floor_band_needs_no_automaton(self, monkeypatch):
         # A week of 180 s slots of N(-100, 5) dBm at q = 8, the paper's
@@ -395,8 +469,13 @@ class TestLzParseFastRefinement:
         monkeypatch.setattr(entropy_module, "_automaton", no_automaton)
         assert lz_parse_fast(levels).lambdas == lams
 
-    @pytest.mark.parametrize("shape", ["constant", "idle-with-spike", "beacon-period-12"])
-    def test_low_entropy_bands_go_straight_to_the_automaton(self, stages, shape):
+    @pytest.mark.parametrize(
+        "shape, expected",
+        [("constant", ["_runs"]), ("idle-with-spike", ["_runs"]), ("beacon-period-12", ["_automaton"])],
+        ids=["constant", "idle-with-spike", "beacon-period-12"],
+    )
+    def test_low_entropy_bands_skip_refinement(self, stages, shape, expected):
+        # Constant and idle bands have 1 and 3 runs; the beacon has 560.
         n = 3360
         rng = np.random.default_rng(HOUSE_SEED)
         samples = np.full(n, -110.0) if shape == "constant" else rng.normal(-110.0, 0.5, n)
@@ -405,7 +484,7 @@ class TestLzParseFastRefinement:
         elif shape == "beacon-period-12":
             samples[np.arange(n) % 12 < 2] = -70.0
         lz_parse_fast(quantized_band(samples))
-        assert stages == ["_automaton"]
+        assert stages == expected
 
     def test_wide_alphabet_refines_in_bounded_memory(self, monkeypatch):
         # 4,000 symbols, 5 of each: a dense table of (label, symbol) pairs
