@@ -163,6 +163,8 @@ def cmd_duty_cycle(args) -> int:
         "command": "duty-cycle", "inputs": [args.input], "block": args.block, "avg_domain": args.avg_domain,
         "thresholds": thresholds, "service_map": args.service_map or None,
     }
+    # loaded at full resolution, unlike analyze: the benchmark times block averaging through this
+    # module's block_average, which only this command calls, until its tie to these names is cut
     matrix = load_matrix(args.input, service_map=_service_map(record))
     # block 1 gives back the matrix itself: the raw duty cycle
     averaged = block_average(matrix, args.block, domain=args.avg_domain)
@@ -251,9 +253,14 @@ def cmd_analyze(args) -> int:
             "service_map": args.service_map or None,
         }
 
-    matrix = load_matrix(record["inputs"][0], service_map=_service_map(record))
+    try:  # the load averages the blocks, so that only the averaged matrix is held
+        matrix = load_matrix(record["inputs"][0], service_map=_service_map(record),
+                             block=record["block"], avg_domain=record["avg_domain"])
+    except (ConfigError, ValueError):
+        QuantizationConfig(q=record["q"])  # a bad q is reported ahead of a bad block
+        raise
     cfg = QuantizationConfig(q=record["q"], strategy=Strategy(record["strategy"]))
-    results = analyze_matrix(matrix, cfg, block=record["block"], avg_domain=record["avg_domain"], jobs=record["jobs"])
+    results = analyze_matrix(matrix, cfg, block=1, jobs=record["jobs"])
     bands_json = [
         {
             "freq_mhz": r.band.center_freq_mhz,

@@ -12,10 +12,13 @@ A file numpy rejects (a comment or whitespace-only line among the rows,
 say) is read again by the line reader, which raises every error with
 its line number.  A load holds the matrix plus one read buffer: the
 line reader puts every value into one flat buffer that becomes the
-matrix without a copy.  Block averaging in linear power converts one
-bounded stretch of blocks to mW at a time.  numpy is imported by the
-functions that build arrays, so the service-map reader and the header
-parser load without it.
+matrix without a copy.  A load that block-averages (``analyze --block
+N``) has numpy read one stretch of blocks at a time, so it holds one
+stretch of raw rows plus the averaged matrix; the line reader still
+reads the whole matrix before averaging it.  Block averaging in linear
+power converts one bounded stretch of blocks to mW at a time.  numpy is
+imported by the functions that build arrays, so the service-map reader
+and the header parser load without it.
 """
 
 from __future__ import annotations
@@ -72,10 +75,16 @@ _STRETCH = 1 << 16  # values block_average holds in mW at a time
 AVG_DOMAINS = ("linear", "db")  # what block_average's domain may be
 
 
-def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None) -> SpectrumMatrix:
-    """Parse a PSD trace CSV into a SpectrumMatrix.
+def load_matrix(
+    path, service_map: dict[str, tuple[float, float]] | None = None, block: int = 1, avg_domain: str = "linear"
+) -> SpectrumMatrix:
+    """Parse a PSD trace CSV into a SpectrumMatrix, block-averaged as by ``block_average``.
 
-    Line numbers in errors are 1-based and count comment lines too.
+    A load holds the matrix plus one read buffer.  With ``block`` > 1
+    numpy's path reads one stretch of blocks at a time and keeps only the
+    block means, so it holds one stretch of raw rows plus the averaged
+    matrix.  Line numbers in errors are 1-based and count comment lines
+    too.
     """
     import numpy as np
 
@@ -84,14 +93,29 @@ def load_matrix(path, service_map: dict[str, tuple[float, float]] | None = None)
         try:
             lineno, line = next(_content_lines(lines))
             bands = parse_header(line.rstrip("\n"), lineno, service_map)
+            # a read per stretch of blocks; at block 1, or a block or domain block_average refuses, one read
+            chunk = block * _stretch(block, len(bands)) if block > 1 and avg_domain in AVG_DOMAINS else None
+            parts = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
-                rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == len(bands) and len(rows) and np.isfinite(rows).all():
-                return SpectrumMatrix(bands=bands, rows=rows)
+                warnings.filterwarnings("ignore", "Input line", UserWarning)  # with max_rows, on a blank line
+                while not parts or len(rows) == chunk:
+                    try:
+                        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=chunk)
+                    except UserWarning:
+                        if parts:
+                            break  # the last read ended at the last row
+                        raise
+                    if rows.shape[1] != len(bands) or not np.isfinite(rows).all():
+                        raise ValueError("left to the line reader")
+                    parts.append(rows if chunk is None else _block_means(rows, block, avg_domain))
         except (StopIteration, ValueError, Warning):
-            pass
-    return _scan_matrix(path, service_map)
+            parts = []
+    if not parts:
+        return block_average(_scan_matrix(path, service_map), block, avg_domain)
+    if chunk is None or not len(parts[0]):  # one read holds every row, and block_average checks the block
+        return block_average(SpectrumMatrix(bands=bands, rows=rows), block, avg_domain)
+    return SpectrumMatrix(bands=bands, rows=np.concatenate(parts))
 
 
 def _content_lines(lines):
@@ -160,31 +184,40 @@ def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") ->
     studies.  A block whose mean power underflows to zero averages to
     -inf dBm, which ``band_trace`` then rejects as a non-finite sample.
     """
-    import numpy as np
-
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     if domain not in AVG_DOMAINS:
         raise ValueError(f"domain must be one of {AVG_DOMAINS}, got {domain!r}")
     if block == 1:
         return matrix
-    n_blocks = matrix.n_slots // block
-    if n_blocks == 0:
+    if matrix.n_slots < block:
         raise BlockLargerThanTraceError(
             f"block {block} larger than the {matrix.n_slots}-slot trace"
         )
-    rows = matrix.rows[: n_blocks * block].reshape(n_blocks, block, -1)
+    return SpectrumMatrix(bands=matrix.bands, rows=_block_means(matrix.rows, block, domain))
+
+
+def _stretch(block: int, width: int) -> int:
+    """Blocks of ``block`` rows of ``width`` values in a stretch: as many as ``_STRETCH`` values hold, at least one."""
+    return max(1, _STRETCH // (block * width))
+
+
+def _block_means(rows: np.ndarray, block: int, domain: str) -> np.ndarray:
+    """Means of the whole blocks of ``rows``, a partial tail dropped; in linear power, one stretch at a time."""
+    import numpy as np
+
+    n_blocks = len(rows) // block
+    blocks = rows[: n_blocks * block].reshape(n_blocks, block, rows.shape[1])
     if domain == "db":
-        return SpectrumMatrix(bands=matrix.bands, rows=rows.mean(axis=1))
-    averaged = np.empty((n_blocks, rows.shape[2]))
-    step = max(1, _STRETCH // (block * rows.shape[2]))
+        return blocks.mean(axis=1)
+    averaged = np.empty((n_blocks, rows.shape[1]))
+    step = _stretch(block, rows.shape[1])
     for lo in range(0, n_blocks, step):  # each block mean reduces its own slice, as in one whole-matrix call
-        mw = rows[lo : lo + step] / 10.0
+        mw = blocks[lo : lo + step] / 10.0
         np.power(10.0, mw, out=mw)
         mw.mean(axis=1, out=averaged[lo : lo + step])
     with np.errstate(divide="ignore"):
-        averaged = 10.0 * np.log10(averaged)
-    return SpectrumMatrix(bands=matrix.bands, rows=averaged)
+        return 10.0 * np.log10(averaged)
 
 
 def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> tuple[float, ...]:

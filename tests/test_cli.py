@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectropy import ingest
 from spectropy.cli import main
 from spectropy.quantize import MAX_Q
 from spectropy.synth import gen_gaussian_psd, gen_iid_uniform
@@ -165,10 +166,42 @@ class TestAnalyzeCommand:
         assert code == 3
         assert "SequenceTooShort" in capsys.readouterr().err
 
-    def test_block_larger_than_trace_exit_3(self, tmp_path, capsys):
+    def test_block_larger_than_trace_exit_3(self, tmp_path, capsys, monkeypatch):
         path = write_text(tmp_path / "t.csv", "614.1\n-100\n-101\n")
+        scan, scanned = ingest._scan_matrix, []
+        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or scan(*a))
         assert run_cli("analyze", path, "--block", "99", "--output", tmp_path / "x.csv") == 3
-        assert "BlockLargerThanTrace" in capsys.readouterr().err
+        assert "BlockLargerThanTrace: block 99 larger than the 2-slot trace" in capsys.readouterr().err
+        assert not scanned  # the file is read once
+
+    def test_bad_value_in_the_dropped_tail_exit_2(self, tmp_path, capsys):
+        # the partial block at the end is averaged away, but still read and checked
+        path = write_text(tmp_path / "t.csv", "614.1\n-100\n-101\n-102\n-103\nbogus\n")
+        assert run_cli("analyze", path, "--block", "2", "--output", tmp_path / "x.csv") == 2
+        assert "Parse: line 6: bad value 'bogus' in column 1" in capsys.readouterr().err
+
+    def test_comment_after_the_first_read_gives_the_same_report(self, tmp_path, monkeypatch):
+        # 16 bands at block 20 read 4,080 rows at a time; a comment at row 4,500 sends the file to the line reader
+        trace = tmp_path / "tr.csv"
+        run_cli("synth", "--model", "gaussian", "--n", "5000", "--bands", "16", "--output", trace)
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        commented = write_text(tmp_path / "commented.csv", "".join(lines[:4501] + ["# gap\n"] + lines[4501:]))
+        scan, scanned = ingest._scan_matrix, []
+        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or scan(*a))
+        outs = tmp_path / "plain.csv", tmp_path / "commented_out.csv"
+        assert run_cli("analyze", trace, "--block", "20", "--output", outs[0]) == 0
+        assert not scanned
+        assert run_cli("analyze", commented, "--block", "20", "--output", outs[1]) == 0
+        assert scanned
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_missing_file_wins_over_a_bad_block(self, tmp_path, capsys):
+        assert run_cli("analyze", tmp_path / "absent.csv", "--block", "0", "--output", tmp_path / "x.csv") == 2
+        assert "absent.csv" in capsys.readouterr().err
+
+    def test_bad_q_wins_over_a_bad_block(self, small_csv, tmp_path, capsys):
+        assert run_cli("analyze", small_csv, "--q", "0", "--block", "0", "--output", tmp_path / "x.csv") == 3
+        assert f"q must lie in [1, {MAX_Q}], got 0" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, tmp_path):
         trace = tmp_path / "tr.csv"

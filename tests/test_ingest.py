@@ -2,7 +2,9 @@ import io
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from spectropy import (
     service_for_frequency,
 )
 from spectropy import ingest
-from spectropy.ingest import _scan_matrix
+from spectropy.ingest import AVG_DOMAINS, _scan_matrix
 from tests.conftest import write_text
 from tests.test_trace import make_band
 
@@ -35,6 +37,24 @@ def matrix_of(rows, freqs_mhz=None):
         freqs_mhz = [614.1 + 0.2 * i for i in range(rows.shape[1])]
     bands = tuple(make_band(center_freq_hz=f * 1e6, label=f"{f} MHz") for f in freqs_mhz)
     return SpectrumMatrix(bands=bands, rows=rows)
+
+
+def spy_scans(monkeypatch):
+    """The calls the line reader gets from here on."""
+    scanned = []
+    monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+    return scanned
+
+
+def write_exact(path, rows, blank_every=0):
+    """A trace CSV whose values read back bit for bit, with a blank line after every ``blank_every`` rows."""
+    step = blank_every or len(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(f"{614.1 + 0.2 * k:.10g}" for k in range(rows.shape[1])) + "\n")
+        for lo in range(0, len(rows), step):
+            np.savetxt(fh, rows[lo : lo + step], fmt="%.17g", delimiter=",")
+            fh.write("\n" if blank_every else "")
+    return path
 
 
 class TestLoadMatrix:
@@ -204,11 +224,35 @@ class TestNumpyReader:
             fast = load_outcome(lambda: load_matrix(path))
             assert fast == load_outcome(lambda: _scan_matrix(path))
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=trace_files(), block=st.integers(2, 3), domain=st.sampled_from(AVG_DOMAINS))
+    @example(text="614.1\n-100\n-101\n-102\n-103\n\n", block=2, domain="linear")
+    @example(text="614.1\n-100\n\n-101\n-102\nbogus\n", block=2, domain="db")
+    def test_blocked_load_matches_line_scanner(self, text, block, domain):
+        # a stretch of one or two blocks, so that these short files take several reads
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_STRETCH", 4):
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            fast = load_outcome(lambda: load_matrix(path, block=block, avg_domain=domain))
+            assert fast == load_outcome(lambda: block_average(_scan_matrix(path), block, domain))
+
+    def test_loadtxt_takes_max_rows_data_rows_from_a_stream(self, tmp_path):
+        # load_matrix reads a block-averaged body in reads of max_rows rows from its open text stream
+        path = write_text(tmp_path / "t.csv", "1,2\n\n3,4\n5,6\n\n7,8\n")
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:
+            with pytest.warns(UserWarning, match="Input line"):  # the warning load_matrix lets pass
+                first = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=2)
+            assert next(lines) == "5,6\n"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rest = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=2)
+        assert first.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert rest.tolist() == [[7.0, 8.0]]
+
     @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "bare-cr"])
     def test_long_campaign_memory_bound(self, tmp_path, rng, monkeypatch, line_end):
         path = write_campaign(tmp_path / "campaign.csv", rng, line_end)
-        scanned = []
-        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        scanned = spy_scans(monkeypatch)
         tracemalloc.start()
         try:
             m = load_matrix(path)
@@ -224,8 +268,7 @@ class TestNumpyReader:
     def test_line_reader_memory_bound(self, tmp_path, rng, monkeypatch, gap):
         # files numpy's path declines are read once, into one flat buffer of values
         path = write_campaign(tmp_path / "campaign.csv", rng, "\n", gap)
-        scanned = []
-        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        scanned = spy_scans(monkeypatch)
         tracemalloc.start()
         try:
             m = load_matrix(path)
@@ -240,8 +283,7 @@ class TestNumpyReader:
     def test_export_heads_take_numpys_path(self, tmp_path, monkeypatch, head):
         path = tmp_path / "t.csv"
         path.write_bytes((head + "614.1,614.3\r\n-100,-101.5\r\n-102,-103\r\n").encode())
-        scanned = []
-        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        scanned = spy_scans(monkeypatch)
         m = load_matrix(path)
         assert not scanned
         assert load_outcome(lambda: m) == load_outcome(lambda: _scan_matrix(path))
@@ -261,8 +303,7 @@ class TestNumpyReader:
         chunk = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
         path = tmp_path / "t.csv"
         path.write_bytes(("#" * (chunk - 1) + line_end + "614.1,614.3\r\n-100,-101\r\n").encode())
-        scanned = []
-        monkeypatch.setattr(ingest, "_scan_matrix", lambda *a: scanned.append(a) or _scan_matrix(*a))
+        scanned = spy_scans(monkeypatch)
         m = load_matrix(path)
         assert m.rows.tolist() == [[-100.0, -101.0]]
         assert [b.label for b in m.bands] == ["614.1 MHz", "614.3 MHz"]
@@ -299,19 +340,39 @@ class TestBlockAverage:
         assert out.n_slots == 2
 
     @pytest.mark.parametrize(
-        "n_slots, n_bands, block",
+        "n_slots, n_bands, block, blank_every",
         [
-            (50_013, 16, 20),  # 204 blocks a stretch; 2500 blocks are no multiple of it; a 13-slot tail
-            (20_003, 16, 5000),  # one block is larger than a stretch
-            (70_001, 1, 7),  # one band: numpy sums each block pairwise
-            (140_001, 1, 70_000),
+            (50_013, 16, 20, 0),  # 204 blocks a stretch; 2500 blocks are no multiple of it; a 13-slot tail
+            (20_003, 16, 5000, 0),  # one block is larger than a stretch
+            (70_001, 1, 7, 0),  # one band: numpy sums each block pairwise
+            (140_001, 1, 70_000, 0),
+            (8_160, 16, 20, 0),  # two whole reads of one stretch, then an empty one
+            (8_160, 16, 20, 1_020),  # blank lines among the rows, at the ends of reads and after the last row
         ],
     )
-    def test_matches_one_shot_mean(self, rng, n_slots, n_bands, block):
+    def test_matches_one_shot_mean(self, tmp_path, rng, monkeypatch, n_slots, n_bands, block, blank_every):
         m = matrix_of(rng.normal(-100.0, 20.0, size=(n_slots, n_bands)))
         rows = m.rows[: n_slots // block * block].reshape(n_slots // block, block, n_bands)
         assert np.array_equal(block_average(m, block).rows, 10 * np.log10(np.power(10, rows / 10).mean(axis=1)))
         assert np.array_equal(block_average(m, block, domain="db").rows, rows.mean(axis=1))
+        # the load averages each read as block_average averages the whole matrix
+        path = write_exact(tmp_path / "t.csv", m.rows, blank_every)
+        scanned = spy_scans(monkeypatch)
+        full = load_matrix(path)
+        assert np.array_equal(full.rows, m.rows)
+        for domain in AVG_DOMAINS:
+            averaged = load_matrix(path, block=block, avg_domain=domain)
+            assert np.array_equal(averaged.rows, block_average(full, block, domain).rows)
+            assert averaged.bands == full.bands
+        assert not scanned
+
+    @pytest.mark.parametrize("domain", AVG_DOMAINS)
+    def test_load_with_fewer_rows_than_a_block(self, tmp_path, rng, monkeypatch, domain):
+        path = write_exact(tmp_path / "t.csv", rng.normal(-100.0, 20.0, size=(19, 3)))
+        scanned = spy_scans(monkeypatch)
+        with pytest.raises(BlockLargerThanTraceError, match="block 20 larger than the 19-slot trace"):
+            load_matrix(path, block=20, avg_domain=domain)
+        assert not scanned
 
     def test_linear_domain_memory_bound(self, rng):
         m = matrix_of(rng.normal(-100.0, 5.0, size=(50_000, 16)))
@@ -323,6 +384,18 @@ class TestBlockAverage:
             tracemalloc.stop()
         assert out.rows.shape == (2500, 16)
         assert peak < 0.5 * m.rows.nbytes
+
+    def test_blocked_load_memory_bound(self, tmp_path, rng):
+        # the load holds one stretch of raw rows and the block means, never the full-resolution matrix
+        path = write_campaign(tmp_path / "campaign.csv", rng, "\n")
+        tracemalloc.start()
+        try:
+            out = load_matrix(path, block=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.rows.shape == (2500, 16)
+        assert peak < 0.3 * 50_000 * 16 * 8
 
     def test_block_larger_than_trace(self):
         m = matrix_of([[-100.0]] * 3)
