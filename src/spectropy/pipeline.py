@@ -22,9 +22,10 @@ from .predictability import band_predictability
 from .quantize import QuantizationConfig, quantize
 from .trace import BandMetadata, EntropyReport, PredictabilityReport, PsdTrace, QuantizedTrace, _value_type
 
-# A pool costs about 50 ms to start and stop, and serial analysis about
-# 1-2.5 us per slot, so a second worker (which saves at most half the
-# serial time) pays only from about 50,000 slots on.
+# On a 2-CPU host, importing the process pool took about 15-20 ms and starting
+# two workers, mapping once and stopping them 11-17 ms; serial analysis
+# took 0.5-1.4 us per slot.  A second worker saves at most half the serial
+# time, so it pays only from about 45,000-110,000 slots on.
 _SLOTS_PER_WORKER = 50_000
 
 

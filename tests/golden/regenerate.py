@@ -81,6 +81,15 @@ def _export(rng: random.Random) -> list[list[str]]:
     return [["\xa0%.6g" % rng.gauss(-100.0, 5.0), "%.6g\x1c" % rng.gauss(-105.0, 3.0)] for _ in range(300)]
 
 
+def _gaps(rng: random.Random) -> list[list[str]]:
+    # a comment line and a whitespace-only line among the rows, which numpy's parser declines,
+    # so the line reader reads and averages this file
+    rows = [["%.6g" % rng.gauss(-100.0, 5.0), "%.6g" % rng.gauss(-108.0, 4.0)] for _ in range(250)]
+    rows.insert(200, [" \t"])
+    rows.insert(100, ["# scan resumed after a gain change"])
+    return rows
+
+
 # input name -> (band centres in MHz, generator, seed)
 TRACES = {
     "gaussian": (("614.1", "614.3"), _gaussian, 1),
@@ -90,6 +99,7 @@ TRACES = {
     "constant": (("760.1", "760.3"), _constant, 5),
     "wide": (("780.1",), _wide, 6),
     "export": (("\xa0800.1", "800.3\x1c"), _export, 7),
+    "gaps": (("820.1", "820.3"), _gaps, 8),
 }
 # inputs written as a spreadsheet's "CSV UTF-8" export or an instrument log: a byte-order mark,
 # a non-ASCII note above the header and CRLF line ends

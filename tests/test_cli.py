@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectropy import ingest
-from spectropy.cli import main
+from spectropy import block_average, cli, duty_cycle, ingest, load_matrix
+from spectropy.cli import _fmt, main
 from spectropy.quantize import MAX_Q
 from spectropy.synth import gen_gaussian_psd, gen_iid_uniform
 from tests.conftest import run_python, write_text
+from tests.test_ingest import spy_scans, write_campaign
 
 
 # one valid band entry of an analyze JSON report
@@ -119,6 +120,53 @@ class TestDutyCycleCommand:
         assert run_cli("duty-cycle", small_csv, "--block", block, "--output", tmp_path / "dc.csv") == 3
         assert f"block must be >= 1, got {block}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+    def test_missing_file_wins_over_a_bad_block(self, tmp_path, capsys):
+        assert run_cli("duty-cycle", tmp_path / "absent.csv", "--block", "0", "--output", tmp_path / "dc.csv") == 2
+        assert "absent.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_larger_than_trace_exit_3(self, small_csv, tmp_path, capsys):
+        assert run_cli("duty-cycle", small_csv, "--block", "5", "--output", tmp_path / "dc.csv") == 3
+        assert "BlockLargerThanTrace: block 5 larger than the 4-slot trace" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["small.csv"]
+
+    def test_block_and_domain_go_to_the_load(self, small_csv, tmp_path, monkeypatch):
+        load, calls = cli.load_matrix, []
+        monkeypatch.setattr(cli, "load_matrix", lambda *a, **kw: calls.append(kw) or load(*a, **kw))
+        out = tmp_path / "dc.csv"
+        assert run_cli("duty-cycle", small_csv, "--block", "2", "--avg-domain", "db", "--output", out) == 0
+        assert [(kw["block"], kw["avg_domain"]) for kw in calls] == [(2, "db")]
+
+    @pytest.mark.parametrize("domain", ["linear", "db"])
+    @pytest.mark.parametrize("gap", ["", "# gap\n"], ids=["numpy", "line-reader"])
+    def test_averaged_load_gives_the_duty_cycle_of_the_block_means(self, tmp_path, rng, monkeypatch, domain, gap):
+        # a stretch of 4 values holds one block of 2 slots of 3 bands, so the load takes a read per block
+        rows = [",".join(f"{v:.17g}" for v in row) + "\n" for row in rng.normal(-110.0, 6.0, size=(31, 3))]
+        path = write_text(tmp_path / "t.csv", "614.1,614.3,614.5\n" + "".join(rows[:9] + [gap] + rows[9:]))
+        monkeypatch.setattr(ingest, "_STRETCH", 4)
+        scanned = spy_scans(monkeypatch)
+        out = tmp_path / "dc.csv"
+        argv = ["--threshold", "-107", "--threshold", "-112", "--block", "2", "--avg-domain", domain]
+        assert run_cli("duty-cycle", path, *argv, "--output", out) == 0
+        assert bool(scanned) == bool(gap)
+        averaged = block_average(load_matrix(path), 2, domain)
+        reports = [duty_cycle(averaged, t) for t in (-107.0, -112.0)]
+        expected = ["freq_mhz,duty_cycle_-107,duty_cycle_-112"]
+        expected += [",".join(map(_fmt, [b.center_freq_mhz, *(r[i] for r in reports)])) for i, b in enumerate(averaged.bands)]
+        assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("gap", ["", "# gap"], ids=["numpy", "line-reader"])
+    def test_averaged_load_memory_bound(self, tmp_path, rng, gap):
+        # 16 bands x 50,000 slots at block 20: the load holds one stretch of raw rows and the block means
+        path = write_campaign(tmp_path / "campaign.csv", rng, "\n", gap)
+        tracemalloc.start()
+        try:
+            assert run_cli("duty-cycle", path, "--block", "20", "--output", tmp_path / "dc.csv") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 50_000 * 16 * 8
 
     @pytest.mark.parametrize("written, plain", [("-1.07e2", "-107"), ("-.5e1", "-5")])
     def test_negative_threshold_with_exponent(self, small_csv, tmp_path, written, plain):
@@ -449,14 +497,6 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", "--from-manifest", manifest, "--output", tmp_path / "an.csv") == 2
         assert f"Parse: line 1: {manifest}: not a usable analyze manifest (q {q} outside" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "small.csv"]
-
-    @pytest.mark.filterwarnings("error")
-    def test_underflowing_block_average_exit_2(self, tmp_path, capsys):
-        # 10**-400 mW underflows to 0, whose log is -inf dBm: a non-finite sample, not a numpy warning
-        path = write_text(tmp_path / "t.csv", "614.1\n" + "-4000\n" * 4)
-        assert run_cli("analyze", path, "--block", "2", "--output", tmp_path / "an.csv") == 2
-        assert "NonFiniteSample" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 class TestCdfCommand:
@@ -906,6 +946,18 @@ def test_missing_or_malformed_required_value_exit_3(tmp_path, capsys, argv, mess
 
 def run_module(*argv, input=None):
     return run_python("-m", "spectropy", *argv, input=input)
+
+
+@pytest.mark.parametrize("command", ["analyze", "duty-cycle"])
+@pytest.mark.parametrize("dbm, shown", [("-4000", "-inf"), ("1e303", "inf")], ids=["underflow", "overflow"])
+def test_underflowing_block_average_exit_2(tmp_path, command, dbm, shown):
+    # 10**-400 mW underflows to 0, whose log is -inf dBm, and 10**1e302 mW overflows to +inf dBm:
+    # a non-finite sample, not a numpy warning
+    path = write_text(tmp_path / "t.csv", "614.1\n" + f"{dbm}\n" * 4)
+    proc = run_module(command, str(path), "--block", "2", "--output", str(tmp_path / "out.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: NonFiniteSample: non-finite sample at index 0 ({shown})\n"  # no RuntimeWarning
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
 
 class TestModuleInvocation:

@@ -228,6 +228,7 @@ class TestNumpyReader:
     @given(text=trace_files(), block=st.integers(2, 3), domain=st.sampled_from(AVG_DOMAINS))
     @example(text="614.1\n-100\n-101\n-102\n-103\n\n", block=2, domain="linear")
     @example(text="614.1\n-100\n\n-101\n-102\nbogus\n", block=2, domain="db")
+    @example(text="1\n1e303\n-40", block=2, domain="linear")  # 10**1e302 mW overflows to +inf dBm, with no warning
     def test_blocked_load_matches_line_scanner(self, text, block, domain):
         # a stretch of one or two blocks, so that these short files take several reads
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_STRETCH", 4):
@@ -385,17 +386,22 @@ class TestBlockAverage:
         assert out.rows.shape == (2500, 16)
         assert peak < 0.5 * m.rows.nbytes
 
-    def test_blocked_load_memory_bound(self, tmp_path, rng):
-        # the load holds one stretch of raw rows and the block means, never the full-resolution matrix
-        path = write_campaign(tmp_path / "campaign.csv", rng, "\n")
+    @pytest.mark.parametrize("domain", AVG_DOMAINS)
+    @pytest.mark.parametrize("gap", ["", "# gap"], ids=["numpy", "line-reader"])
+    def test_blocked_load_memory_bound(self, tmp_path, rng, monkeypatch, gap, domain):
+        # either parser holds one stretch of raw rows and the block means, never the full-resolution matrix
+        path = write_campaign(tmp_path / "campaign.csv", rng, "\n", gap)
+        scanned = spy_scans(monkeypatch)
         tracemalloc.start()
         try:
-            out = load_matrix(path, block=20)
+            out = load_matrix(path, block=20, avg_domain=domain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert bool(scanned) == bool(gap)
         assert out.rows.shape == (2500, 16)
         assert peak < 0.3 * 50_000 * 16 * 8
+        assert np.array_equal(out.rows, block_average(_scan_matrix(path), 20, domain).rows)
 
     def test_block_larger_than_trace(self):
         m = matrix_of([[-100.0]] * 3)
